@@ -4,16 +4,16 @@ GO ?= go
 # `make check` runs, longer via `make fuzz FUZZTIME=5m`.
 FUZZTIME ?= 10s
 
-.PHONY: check vet build test race diff chaos serve-smoke wal-smoke netchaos-smoke obsserve-smoke fuzz-smoke fuzz bench bench-json
+.PHONY: check vet build test race diff chaos serve-smoke wal-smoke netchaos-smoke obsserve-smoke bench-smoke fuzz-smoke fuzz bench bench-json
 
 ## check: everything CI needs — vet, build, full tests, race-detector pass
 ## over the concurrent executor, the differential oracle suite, the chaos
 ## (fault-injection) harness, the serving-layer smoke (loadgen vs the
 ## in-process oracle), the WAL crash-recovery smoke, the network-chaos
 ## resilient-session smoke, the observability smoke (tracing, ops
-## surfaces, metrics-doc drift, overhead gates), and a short fuzz round
-## per target.
-check: vet build test race diff chaos serve-smoke wal-smoke netchaos-smoke obsserve-smoke fuzz-smoke
+## surfaces, metrics-doc drift, overhead gates), the serving benchmark's
+## functional pass, and a short fuzz round per target.
+check: vet build test race diff chaos serve-smoke wal-smoke netchaos-smoke obsserve-smoke bench-smoke fuzz-smoke
 
 vet:
 	$(GO) vet ./...
@@ -73,6 +73,14 @@ obsserve-smoke:
 	$(GO) test ./internal/server -race -count=1 -run 'TestTrace|TestHealthz|TestStatusz|TestMetricsDocDrift|TestFamilyOf'
 	$(GO) test ./internal/exp -race -count=1 -run 'TestObsServeSmoke'
 	$(GO) test ./cmd/esptop ./cmd/espd -count=1
+
+## bench-smoke: the serving benchmark (bench/README.md) at 1/20 of its
+## epochs — all three workloads over live TCP with the WAL on, crashed
+## and recovered; exits non-zero when any fingerprint gate fails (served
+## = oracle, recovered Last() = final epoch, archive from genesis =
+## oracle). A functional check, not a measurement.
+bench-smoke:
+	$(GO) run ./bench -smoke
 
 ## fuzz-smoke: one short coverage-guided round per fuzz target, seeded
 ## from the committed corpora under testdata/fuzz.

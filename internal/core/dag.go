@@ -27,11 +27,13 @@ type dag struct {
 	// independent — the invariant ParallelScheduler relies on.
 	level  []int
 	levels [][]int
-	// legsByReceptor[r] indexes the leg nodes fed by dep.Receptors[r], in
-	// leg construction order — built once at compile time so the per-epoch
-	// fan-out is O(legs) instead of O(receptors × legs).
-	legsByReceptor [][]int
-	stats          []nodeCounters
+	// sources[r] lists the legs fed by dep.Receptors[r], in leg
+	// construction order — built once at compile time so the per-epoch
+	// fan-out is O(legs) instead of O(receptors × legs). staged lists the
+	// collapsed legs nodes, which take their input by staging.
+	sources [][]source
+	staged  []int
+	stats   []nodeCounters
 	// quarantined[i] marks node i as permanently out of service after a
 	// panic under supervision: its input is dropped and it is no longer
 	// punctuated. Unlike receptors — external devices that may recover —
@@ -58,6 +60,31 @@ func (g *dag) getFx() *effects {
 func (g *dag) putFx(fx *effects) {
 	fx.reset()
 	g.fxPool.Put(fx)
+}
+
+// source is one leg a receptor feeds: a per-leg node (member < 0), or
+// member member of a collapsed legsNode.
+type source struct {
+	node   int
+	member int
+}
+
+// stage queues a receptor's polled epoch on src's collapsed legs node. It
+// reports false for a per-leg source, which takes a delivery instead.
+func (g *dag) stage(src source, ts []stream.Tuple) bool {
+	if src.member < 0 {
+		return false
+	}
+	g.nodes[src.node].(*legsNode).stage(src.member, ts)
+	return true
+}
+
+// dropStaged discards staged runs no node consumed (a failed epoch), so a
+// later Step does not replay them.
+func (g *dag) dropStaged() {
+	for _, i := range g.staged {
+		g.nodes[i].(*legsNode).takeStaged()
+	}
 }
 
 // downEdge routes a node's emitted tuples to a downstream input port.
@@ -120,48 +147,68 @@ func compileDag(p *Processor, nodes []node) (*dag, error) {
 	for i := range nodes {
 		g.levels[g.level[i]] = append(g.levels[g.level[i]], i)
 	}
-	// Receptor fan-out index: receptor IDs are unique (buildLegs checks),
-	// and a receptor's legs appear consecutively in construction order.
+	// Receptor fan-out index: a receptor's legs appear consecutively in
+	// construction order, whichever node serves them.
 	byID := make(map[string]int, len(p.dep.Receptors))
 	for r, rec := range p.dep.Receptors {
 		byID[rec.ID()] = r
 	}
-	g.legsByReceptor = make([][]int, len(p.dep.Receptors))
+	g.sources = make([][]source, len(p.dep.Receptors))
 	for i, n := range nodes {
-		leg, ok := n.(*legNode)
-		if !ok {
-			continue
+		switch leg := n.(type) {
+		case *legNode:
+			r, ok := byID[leg.rec.ID()]
+			if !ok {
+				return nil, fmt.Errorf("core: leg %s has no deployment receptor", leg.label())
+			}
+			g.sources[r] = append(g.sources[r], source{node: i, member: -1})
+		case *legsNode:
+			g.staged = append(g.staged, i)
+			for mi, m := range leg.members {
+				g.sources[m.r] = append(g.sources[m.r], source{node: i, member: mi})
+			}
 		}
-		r, ok := byID[leg.rec.ID()]
-		if !ok {
-			return nil, fmt.Errorf("core: leg %s has no deployment receptor", leg.label())
-		}
-		g.legsByReceptor[r] = append(g.legsByReceptor[r], i)
 	}
 	return g, nil
 }
 
-// processInto delivers a batch to node i's input port and cascades its
-// effects and emissions depth-first — the sequential execution strategy,
-// which reproduces the classic Processor's call sequence exactly.
+// run invokes one node call on a fresh effects buffer under the panic
+// guard, then cascades its effects and emissions depth-first — the
+// sequential execution strategy, which reproduces the classic Processor's
+// call sequence exactly. A call that panicked under supervision leaves
+// its partial effects discarded.
+func (g *dag) run(i int, call func(fx *effects) error) error {
+	fx := g.getFx()
+	ok, err := g.guard(i, func() error { return call(fx) })
+	if err == nil && ok {
+		err = g.flushCascade(i, fx)
+	}
+	g.putFx(fx)
+	return err
+}
+
+// processInto delivers a batch to node i's input port and cascades.
 // Quarantined nodes swallow their input.
 func (g *dag) processInto(i int, port string, ts []stream.Tuple) error {
 	if g.quarantined[i].Load() {
 		return nil
 	}
 	g.stats[i].tuplesIn.Add(int64(len(ts)))
-	fx := g.getFx()
-	ok, err := g.guard(i, func() error { return g.nodes[i].process(port, ts, fx) })
-	if err != nil {
-		return err
+	return g.run(i, func(fx *effects) error { return g.nodes[i].process(port, ts, fx) })
+}
+
+// processStaged runs a collapsed legs node over the epoch's staged runs.
+func (g *dag) processStaged(i int) error {
+	n := g.nodes[i].(*legsNode)
+	if n.stagedRows == 0 {
+		return nil
 	}
-	if !ok {
-		g.putFx(fx)
-		return nil // panicked under supervision: partial effects discarded
+	if g.quarantined[i].Load() {
+		n.takeStaged()
+		return nil
 	}
-	err = g.flushCascade(i, fx)
-	g.putFx(fx)
-	return err
+	g.stats[i].tuplesIn.Add(int64(n.stagedRows))
+	return g.run(i, func(fx *effects) error { return n.process("", nil, fx) })
 }
 
 // processIntoB delivers a columnar batch to node i's input port and
@@ -176,18 +223,7 @@ func (g *dag) processIntoB(i int, port string, b *stream.Batch) error {
 	st.batchesIn.Add(1)
 	st.batchRows.Add(int64(b.Len()))
 	st.tuplesIn.Add(int64(b.Len()))
-	fx := g.getFx()
-	ok, err := g.guard(i, func() error { return g.nodes[i].processBatch(port, b, fx) })
-	if err != nil {
-		return err
-	}
-	if !ok {
-		g.putFx(fx)
-		return nil
-	}
-	err = g.flushCascade(i, fx)
-	g.putFx(fx)
-	return err
+	return g.run(i, func(fx *effects) error { return g.nodes[i].processBatch(port, b, fx) })
 }
 
 // advanceNode punctuates node i and cascades the released output.
@@ -196,21 +232,12 @@ func (g *dag) advanceNode(i int, now time.Time) error {
 	if g.quarantined[i].Load() {
 		return nil
 	}
-	st := &g.stats[i]
-	fx := g.getFx()
-	t0 := time.Now()
-	ok, err := g.guard(i, func() error { return g.nodes[i].advance(now, fx) })
-	st.advance.Observe(time.Since(t0))
-	if err != nil {
-		return err
-	}
-	if !ok {
-		g.putFx(fx)
-		return nil
-	}
-	err = g.flushCascade(i, fx)
-	g.putFx(fx)
-	return err
+	return g.run(i, func(fx *effects) error {
+		t0 := time.Now()
+		// Deferred so a punctuation that panics is still observed.
+		defer func() { g.stats[i].advance.Observe(time.Since(t0)) }()
+		return g.nodes[i].advance(now, fx)
+	})
 }
 
 // guard runs one node call with panic isolation. A panic increments the
@@ -275,15 +302,15 @@ func (g *dag) flushEvents(fx *effects) {
 			// outNode and virtNode fire both a tap and a sink event for
 			// the same tuples, and counting both would double-count.
 			g.p.countStage(ev.typ, ev.stage, ev.rows())
-			if ev.b != nil {
-				// Materialize the columnar event lazily: only when a tap is
-				// actually registered for this (type, stage).
-				if len(g.p.taps[tapKey{typ: ev.typ, stage: ev.stage}]) == 0 {
-					continue
+			// Materialize the event lazily: only when a tap is actually
+			// registered for this (type, stage).
+			if fns := g.p.taps[tapKey{typ: ev.typ, stage: ev.stage}]; len(fns) > 0 {
+				for _, t := range ev.tuples() {
+					for _, fn := range fns {
+						fn(t)
+					}
 				}
-				ev.ts, ev.b = ev.b.Tuples(), nil
 			}
-			g.p.tap(ev.typ, ev.stage, ev.ts)
 			continue
 		}
 		if ev.stage == StageVirtualize {

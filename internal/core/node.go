@@ -108,6 +108,26 @@ type effectEvent struct {
 	sink  bool // deliver to sinks instead of taps
 	ts    []stream.Tuple
 	b     *stream.Batch
+	// skip is the number of leading columns observers must not see (the
+	// keys a partitioned Point carries past what a per-leg Point emits).
+	skip int
+}
+
+// tuples materializes the event's rows for observers: owned tuples for a
+// columnar event, the leading skip columns dropped.
+func (ev *effectEvent) tuples() []stream.Tuple {
+	ts := ev.ts
+	if ev.b != nil {
+		ts = ev.b.Tuples()
+	} else if ev.skip > 0 {
+		ts = append([]stream.Tuple(nil), ts...)
+	}
+	if ev.skip > 0 {
+		for i := range ts {
+			ts[i].Values = ts[i].Values[ev.skip:]
+		}
+	}
+	return ts
 }
 
 // rows reports the event's tuple count without materializing a batch.

@@ -64,12 +64,22 @@ type Deployment struct {
 	// stage built in this deployment (the optimizer's kill switch; the
 	// oracle's optimized-vs-unoptimized differential runs both settings).
 	DisableOptimizer bool
+	// DisablePartitioning keeps one node per leg and per proximity group
+	// even where a type's stages could be built once for the whole type
+	// (partition.go); the oracle's partitioned-vs-per-leg differential
+	// runs both settings and demands that every type's sink stream and
+	// every tap stream be identical. How different types' rows interleave
+	// in a sink they share is only kept when each type's receptors are
+	// adjacent in Receptors: a type built once runs at its first receptor.
+	DisablePartitioning bool
 }
 
 // Processor executes a Deployment. At construction it compiles the
 // deployment into an explicit dataflow DAG of uniform nodes (node.go) —
-// one leg per (receptor, proximity group), one Merge per group, one
-// Arbitrate and one output fan-out per type, one Virtualize — and each
+// one leg per (receptor, proximity group) and one Merge per group, or
+// one legs and one merges node per type where the stage plans can be
+// built once for the whole type (partition.go); one Arbitrate and one
+// output fan-out per type, one Virtualize — and each
 // epoch it polls the receptors and hands the batches to the configured
 // Scheduler, which pushes them through the graph and punctuates every
 // node in pipeline order so results are deterministic.
@@ -80,6 +90,8 @@ type Processor struct {
 	graph *dag
 	sched Scheduler
 	sup   *supervisor // nil until EnableSupervision
+	// polled is Step's reused per-receptor batch table.
+	polled [][]stream.Tuple
 
 	// typeOrder lists receptor types in first-leg order — the order
 	// type-level nodes are constructed and punctuated in.
@@ -196,12 +208,36 @@ func StripAnnotation(sch *stream.Schema) (*stream.Schema, func(stream.Tuple) str
 // virtualize — which is also the punctuation order schedulers honour.
 type dagBuilder struct {
 	nodes []node
-	// legs and merges are node indices in construction order.
-	legs         []int
-	merges       []int
+	// legs lists every (receptor, group) leg in construction order and
+	// merges every Merge node, whichever node kind serves them.
+	legs         []legRef
+	merges       []mergeRef
 	mergeOfGroup map[string]int
-	arbOf        map[receptor.Type]int
-	outOf        map[receptor.Type]int
+	// typeMerges holds, for a type whose legs buildLegs tried to collapse,
+	// the mergesNode built with them (nil: the Merge does not collapse).
+	typeMerges map[receptor.Type]*mergesNode
+	arbOf      map[receptor.Type]int
+	outOf      map[receptor.Type]int
+}
+
+// legRef is one (receptor, proximity group) leg: served by its own
+// legNode, or one member of a type's legsNode.
+type legRef struct {
+	node  int
+	typ   receptor.Type
+	group string
+	out   *stream.Schema
+	// granuleOwned reports that the output's spatial_granule column is
+	// the processor's annotation — the leg's group — rather than a column
+	// of that name the leg's own stages computed.
+	granuleOwned bool
+}
+
+// mergeRef is one Merge node: a group's mergeNode or a type's mergesNode.
+type mergeRef struct {
+	node int
+	typ  receptor.Type
+	out  *stream.Schema
 }
 
 func (b *dagBuilder) add(n node) int {
@@ -209,17 +245,24 @@ func (b *dagBuilder) add(n node) int {
 	return len(b.nodes) - 1
 }
 
-func (b *dagBuilder) leg(i int) *legNode     { return b.nodes[i].(*legNode) }
-func (b *dagBuilder) merge(i int) *mergeNode { return b.nodes[i].(*mergeNode) }
+// appendEdge adds an edge from node from unless ups already has one.
+func appendEdge(ups []upEdge, from int) []upEdge {
+	for _, e := range ups {
+		if e.from == from {
+			return ups
+		}
+	}
+	return append(ups, upEdge{from: from})
+}
 
 // typeFeed reports the nodes feeding a type's type-level stage (the
-// type's Merge nodes if any, else its legs) and their shared schema.
+// type's Merge nodes if any, else its leg nodes) and their shared schema.
 func (b *dagBuilder) typeFeed(t receptor.Type) ([]upEdge, *stream.Schema) {
 	var ups []upEdge
 	var sch *stream.Schema
-	for _, mi := range b.merges {
-		if m := b.merge(mi); m.typ == t {
-			ups = append(ups, upEdge{from: mi})
+	for _, m := range b.merges {
+		if m.typ == t {
+			ups = appendEdge(ups, m.node)
 			if sch == nil {
 				sch = m.out
 			}
@@ -228,9 +271,9 @@ func (b *dagBuilder) typeFeed(t receptor.Type) ([]upEdge, *stream.Schema) {
 	if ups != nil {
 		return ups, sch
 	}
-	for _, li := range b.legs {
-		if leg := b.leg(li); leg.typ == t {
-			ups = append(ups, upEdge{from: li})
+	for _, leg := range b.legs {
+		if leg.typ == t {
+			ups = appendEdge(ups, leg.node)
 			if sch == nil {
 				sch = leg.out
 			}
@@ -267,6 +310,7 @@ func NewProcessor(dep *Deployment) (*Processor, error) {
 	p.env = BuildEnv{Epoch: dep.Epoch, Tables: dep.Tables, TieBreak: dep.TieBreak, Live: liveView{p: p}, NoOptimize: dep.DisableOptimizer}
 	b := &dagBuilder{
 		mergeOfGroup: make(map[string]int),
+		typeMerges:   make(map[receptor.Type]*mergesNode),
 		arbOf:        make(map[receptor.Type]int),
 		outOf:        make(map[receptor.Type]int),
 	}
@@ -310,6 +354,9 @@ func (p *Processor) pipelineFor(t receptor.Type) *Pipeline {
 
 func (p *Processor) buildLegs(b *dagBuilder) error {
 	seen := make(map[string]bool)
+	// collapsed[t] is decided at t's first receptor: the type's legsNode
+	// index, or -1 when the type keeps one node per leg.
+	collapsed := make(map[receptor.Type]int)
 	for _, rec := range p.dep.Receptors {
 		if seen[rec.ID()] {
 			return fmt.Errorf("core: duplicate receptor %q", rec.ID())
@@ -318,6 +365,33 @@ func (p *Processor) buildLegs(b *dagBuilder) error {
 		groups := p.dep.Groups.Of(rec.ID())
 		if len(groups) == 0 {
 			return fmt.Errorf("core: receptor %q belongs to no proximity group", rec.ID())
+		}
+		at, decided := collapsed[rec.Type()]
+		if !decided {
+			at = -1
+			if n := p.collapseLegs(rec.Type()); n != nil {
+				refs := make([]legRef, len(n.members))
+				for i, m := range n.members {
+					refs[i] = legRef{node: len(b.nodes), typ: n.typ, group: m.group, out: n.out, granuleOwned: true}
+				}
+				// A per-group Merge node would need the type's rows addressed
+				// to it group by group, so the legs collapse only if their
+				// Merge, where there is one, collapses with them.
+				ok := true
+				if pl := p.pipelineFor(n.typ); pl != nil && pl.Merge != nil {
+					merges := p.typeMerges(n.typ, pl.Merge, refs)
+					b.typeMerges[n.typ] = merges
+					ok = merges != nil
+				}
+				if ok {
+					at = b.add(n)
+					b.legs = append(b.legs, refs...)
+				}
+			}
+			collapsed[rec.Type()] = at
+		}
+		if at >= 0 {
+			continue
 		}
 		inSch, err := annotated(rec.Schema())
 		if err != nil {
@@ -353,6 +427,7 @@ func (p *Processor) buildLegs(b *dagBuilder) error {
 				leg.smooth = op
 				cur = op.Schema()
 			}
+			_, computed := cur.Index(ColGranule)
 			fix, err := newAnnotFix(cur,
 				[]stream.Field{
 					{Name: ColReceptorID, Kind: stream.KindString},
@@ -365,14 +440,15 @@ func (p *Processor) buildLegs(b *dagBuilder) error {
 			}
 			leg.fix = fix
 			leg.out = fix.schema
-			b.legs = append(b.legs, b.add(leg))
+			// A stage-less leg's granule column is the input annotation.
+			owned := !computed || (leg.point == nil && leg.smooth == nil)
+			b.legs = append(b.legs, legRef{node: b.add(leg), typ: leg.typ, group: g, out: leg.out, granuleOwned: owned})
 		}
 	}
 	// All legs of one type must agree on their output schema (their
 	// streams are unioned downstream).
 	byType := make(map[receptor.Type]*stream.Schema)
-	for _, li := range b.legs {
-		leg := b.leg(li)
+	for _, leg := range b.legs {
 		if prev, ok := byType[leg.typ]; ok {
 			if !prev.Equal(leg.out) {
 				return fmt.Errorf("core: %s legs produce differing schemas: %s vs %s", leg.typ, prev, leg.out)
@@ -385,10 +461,27 @@ func (p *Processor) buildLegs(b *dagBuilder) error {
 }
 
 func (p *Processor) buildMerges(b *dagBuilder) error {
-	for _, li := range b.legs {
-		leg := b.leg(li)
+	// collapsed[t] is decided at t's first leg, like buildLegs'.
+	collapsed := make(map[receptor.Type]bool)
+	for _, leg := range b.legs {
 		pl := p.pipelineFor(leg.typ)
 		if pl == nil || pl.Merge == nil {
+			continue
+		}
+		done, decided := collapsed[leg.typ]
+		if !decided {
+			// Already settled, either way, if buildLegs tried to collapse
+			// the type's legs.
+			n, tried := b.typeMerges[leg.typ]
+			if !tried {
+				n = p.typeMerges(leg.typ, pl.Merge, b.legs)
+			}
+			if done = n != nil; done {
+				b.merges = append(b.merges, mergeRef{node: b.add(n), typ: leg.typ, out: n.out})
+			}
+			collapsed[leg.typ] = done
+		}
+		if done {
 			continue
 		}
 		mi, ok := b.mergeOfGroup[leg.group]
@@ -412,15 +505,14 @@ func (p *Processor) buildMerges(b *dagBuilder) error {
 			m := &mergeNode{group: leg.group, typ: leg.typ, op: op, fix: fix, out: fix.schema, noBatch: p.dep.DisableBatching}
 			mi = b.add(m)
 			b.mergeOfGroup[leg.group] = mi
-			b.merges = append(b.merges, mi)
+			b.merges = append(b.merges, mergeRef{node: mi, typ: m.typ, out: m.out})
 		}
-		m := b.merge(mi)
-		m.ups = append(m.ups, upEdge{from: li})
+		m := b.nodes[mi].(*mergeNode)
+		m.ups = appendEdge(m.ups, leg.node)
 	}
 	// Merge outputs of one type must agree (unioned into Arbitrate).
 	byType := make(map[receptor.Type]*stream.Schema)
-	for _, mi := range b.merges {
-		m := b.merge(mi)
+	for _, m := range b.merges {
 		if prev, ok := byType[m.typ]; ok {
 			if !prev.Equal(m.out) {
 				return fmt.Errorf("core: %s Merge groups produce differing schemas: %s vs %s", m.typ, prev, m.out)
@@ -432,9 +524,51 @@ func (p *Processor) buildMerges(b *dagBuilder) error {
 	return nil
 }
 
+// typeMerges tries to serve every proximity group of type t with one
+// mergesNode fed by the type's legs, all of which legs must list. It
+// reports nil when the type keeps one Merge node per group: the rows must
+// tell their group themselves, so every leg's spatial_granule column has
+// to be the processor's annotation, and no group may also hold another
+// type's receptor (its legs share the group's per-group Merge node).
+func (p *Processor) typeMerges(t receptor.Type, merge Stage, legs []legRef) *mergesNode {
+	var groups []string
+	var in *stream.Schema
+	var ups []upEdge
+	member := make(map[string]bool)
+	for _, leg := range legs {
+		if leg.typ != t {
+			continue
+		}
+		if !leg.granuleOwned {
+			return nil
+		}
+		if !member[leg.group] {
+			member[leg.group] = true
+			groups = append(groups, leg.group)
+		}
+		in = leg.out
+		ups = appendEdge(ups, leg.node)
+	}
+	for _, rec := range p.dep.Receptors {
+		if rec.Type() == t {
+			continue
+		}
+		for _, g := range p.dep.Groups.Of(rec.ID()) {
+			if member[g] {
+				return nil
+			}
+		}
+	}
+	n := p.collapseMerges(t, merge, groups, in)
+	if n != nil {
+		n.ups = ups
+	}
+	return n
+}
+
 func (p *Processor) buildArbitrates(b *dagBuilder) error {
-	for _, li := range b.legs {
-		t := b.leg(li).typ
+	for _, leg := range b.legs {
+		t := leg.typ
 		if _, done := p.typeSchema[t]; done {
 			continue
 		}
@@ -543,16 +677,4 @@ func (p *Processor) OnEpoch(fn func(now time.Time)) {
 func (p *Processor) Tap(t receptor.Type, stage StageKind, fn func(stream.Tuple)) {
 	k := tapKey{typ: t, stage: stage}
 	p.taps[k] = append(p.taps[k], fn)
-}
-
-func (p *Processor) tap(t receptor.Type, stage StageKind, ts []stream.Tuple) {
-	fns := p.taps[tapKey{typ: t, stage: stage}]
-	if len(fns) == 0 {
-		return
-	}
-	for _, tu := range ts {
-		for _, fn := range fns {
-			fn(tu)
-		}
-	}
 }

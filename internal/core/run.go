@@ -38,11 +38,15 @@ func (p *Processor) RunContext(ctx context.Context, start, end time.Time) error 
 // consistent with the pipeline (legs, then merges, then arbitrates, then
 // virtualize) so windowed results cascade deterministically.
 func (p *Processor) Step(now time.Time) error {
-	batches := make([][]stream.Tuple, len(p.dep.Receptors))
-	for i := range p.dep.Receptors {
-		batches[i] = p.poll(i, now)
+	if p.polled == nil {
+		p.polled = make([][]stream.Tuple, len(p.dep.Receptors))
 	}
-	return p.stepBatches(now, batches)
+	for i := range p.dep.Receptors {
+		p.polled[i] = p.poll(i, now)
+	}
+	err := p.stepBatches(now, p.polled)
+	clear(p.polled) // the epoch's tuples are the receptors' to reclaim
+	return err
 }
 
 // poll gathers one receptor's epoch batch, through the supervisor when

@@ -10,30 +10,47 @@ import (
 
 // Scheduler is the pluggable execution strategy that drives one epoch of
 // the compiled dataflow graph: it must deliver each receptor's polled
-// batch to that receptor's leg nodes, then advance every node in an
-// order consistent with the DAG's topology. The interface is sealed —
-// the package's determinism guarantees (delivery in node order, user
-// callbacks on the calling goroutine) are invariants implementations
+// batch to that receptor's leg nodes (staging it on a collapsed legs
+// node, which then runs once over everything staged), then advance every
+// node in an order consistent with the DAG's topology. The interface is
+// sealed — the package's determinism guarantees (delivery in node order,
+// user callbacks on the calling goroutine) are invariants implementations
 // must uphold, so only SeqScheduler and ParallelScheduler exist.
 type Scheduler interface {
 	step(g *dag, now time.Time, batches [][]stream.Tuple) error
 }
 
 // SeqScheduler executes the whole graph on the calling goroutine:
-// injection in receptor order, then punctuation in topological node
-// order (legs, merges, arbitrates, outputs, virtualize), with every
-// emission cascading depth-first into its downstream nodes immediately.
-// This reproduces the classic hand-rolled Processor loop bit for bit and
-// is the default.
+// injection in receptor order (a collapsed legs node taking its whole
+// type's batch at the type's first receptor), then punctuation in
+// topological node order (legs, merges, arbitrates, outputs, virtualize),
+// with every emission cascading depth-first into its downstream nodes
+// immediately. On a per-leg graph this reproduces the classic hand-rolled
+// Processor loop bit for bit. It is the default.
 type SeqScheduler struct{}
 
 func (SeqScheduler) step(g *dag, now time.Time, batches [][]stream.Tuple) error {
+	defer g.dropStaged()
 	for r, ts := range batches {
 		if len(ts) == 0 {
 			continue
 		}
-		for _, li := range g.legsByReceptor[r] {
-			if err := g.processInto(li, "", ts); err != nil {
+		for _, src := range g.sources[r] {
+			g.stage(src, ts)
+		}
+	}
+	// Sources run in node order: a per-leg node at its receptor, a
+	// collapsed legs node — over everything staged — at its first member.
+	for r, ts := range batches {
+		for _, src := range g.sources[r] {
+			var err error
+			switch {
+			case src.member == 0:
+				err = g.processStaged(src.node)
+			case src.member < 0 && len(ts) > 0:
+				err = g.processInto(src.node, "", ts)
+			}
+			if err != nil {
 				return err
 			}
 		}
@@ -113,6 +130,7 @@ func (s *ParallelScheduler) startPool() {
 
 func (s *ParallelScheduler) step(g *dag, now time.Time, batches [][]stream.Tuple) error {
 	s.start.Do(s.startPool)
+	defer g.dropStaged()
 	if len(s.in) < len(g.nodes) {
 		s.in = make([][]delivery, len(g.nodes))
 		s.fx = make([]*effects, len(g.nodes))
@@ -124,8 +142,10 @@ func (s *ParallelScheduler) step(g *dag, now time.Time, batches [][]stream.Tuple
 		if len(ts) == 0 {
 			continue
 		}
-		for _, li := range g.legsByReceptor[r] {
-			s.in[li] = append(s.in[li], delivery{ts: ts})
+		for _, src := range g.sources[r] {
+			if !g.stage(src, ts) {
+				s.in[src.node] = append(s.in[src.node], delivery{ts: ts})
+			}
 		}
 	}
 	for _, level := range g.levels {
@@ -176,13 +196,28 @@ func (s *ParallelScheduler) step(g *dag, now time.Time, batches [][]stream.Tuple
 // the node's own state, its private effects buffer, and its own stats
 // entry.
 func (s *ParallelScheduler) runNode(g *dag, i int, now time.Time) error {
+	n := g.nodes[i]
+	legs, _ := n.(*legsNode)
 	if g.quarantined[i].Load() {
+		if legs != nil {
+			legs.takeStaged()
+		}
 		return nil // fx[i] stays nil: nothing flushes at the barrier
 	}
 	fx := g.getFx()
 	s.fx[i] = fx
-	n := g.nodes[i]
 	st := &g.stats[i]
+	if legs != nil && legs.stagedRows > 0 {
+		st.tuplesIn.Add(int64(legs.stagedRows))
+		ok, err := g.guard(i, func() error { return legs.process("", nil, fx) })
+		if err != nil {
+			return err
+		}
+		if !ok {
+			s.fx[i] = nil
+			return nil
+		}
+	}
 	for di, d := range s.in[i] {
 		d := d
 		if di > 0 {

@@ -63,12 +63,16 @@ func (p *Processor) Describe() string {
 	byType := make(map[receptor.Type][]string)
 	legCount := 0
 	for _, n := range p.graph.nodes {
-		leg, ok := n.(*legNode)
-		if !ok {
-			continue
+		switch leg := n.(type) {
+		case *legNode:
+			legCount++
+			byType[leg.typ] = append(byType[leg.typ], fmt.Sprintf("%s@%s", leg.rec.ID(), leg.group))
+		case *legsNode:
+			legCount += len(leg.members)
+			for _, m := range leg.members {
+				byType[leg.typ] = append(byType[leg.typ], fmt.Sprintf("%s@%s", m.rec.ID(), m.group))
+			}
 		}
-		legCount++
-		byType[leg.typ] = append(byType[leg.typ], fmt.Sprintf("%s@%s", leg.rec.ID(), leg.group))
 	}
 	fmt.Fprintf(&sb, "ESP deployment: epoch %v, %d receptor(s), %d leg(s)\n",
 		p.dep.Epoch, len(p.dep.Receptors), legCount)

@@ -51,13 +51,13 @@ func TestTelemetryUnifiedSnapshot(t *testing.T) {
 	s := p.Telemetry().Snapshot()
 
 	// Per-node counters and advance-latency histograms.
-	if got := s.Counters["node.leg rfid r0@shelf0.tuples_in"]; got != 2 {
+	if got := s.Counters["node.legs rfid.tuples_in"]; got != 2 {
 		t.Errorf("leg tuples_in = %d, want 2", got)
 	}
 	if got := s.Counters["node.output rfid.tuples_in"]; got != 1 {
 		t.Errorf("output tuples_in = %d, want 1", got)
 	}
-	h, ok := s.Histograms["node.leg rfid r0@shelf0.advance_ns"]
+	h, ok := s.Histograms["node.legs rfid.advance_ns"]
 	if !ok || h.Count != 1 {
 		t.Errorf("leg advance histogram = %+v ok=%v, want 1 observation", h, ok)
 	}
@@ -86,7 +86,7 @@ func TestTelemetryUnifiedSnapshot(t *testing.T) {
 	}
 	var legStats *NodeStats
 	for i, ns := range p.NodeStats() {
-		if ns.Label == "leg rfid r0@shelf0" {
+		if ns.Label == "legs rfid" {
 			legStats = &p.NodeStats()[i]
 		}
 	}

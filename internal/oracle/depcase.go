@@ -341,6 +341,12 @@ func (c *DeploymentCase) runDep(dep *core.Deployment, sched core.Scheduler) (*de
 	if err != nil {
 		return nil, err
 	}
+	return &depOutput{sink: streams[sinkLabel], rendered: renderStreams(streams)}, nil
+}
+
+// renderStreams renders labelled streams in label order — the byte-level
+// comparison form of everything a run exposed.
+func renderStreams(streams map[string][]stream.Tuple) string {
 	labels := make([]string, 0, len(streams))
 	for l := range streams {
 		labels = append(labels, l)
@@ -350,7 +356,7 @@ func (c *DeploymentCase) runDep(dep *core.Deployment, sched core.Scheduler) (*de
 	for _, l := range labels {
 		fmt.Fprintf(&sb, "== %s ==\n%s", l, renderTuples(streams[l]))
 	}
-	return &depOutput{sink: streams[sinkLabel], rendered: sb.String()}, nil
+	return sb.String()
 }
 
 // CheckDeploymentCase cross-checks one deployment: SeqScheduler against

@@ -27,6 +27,11 @@
 //   - optimized-vs-unoptimized: a deployment planned with the CQL
 //     rewrite pass (the default) against the same deployment planned
 //     naively (Deployment.DisableOptimizer), byte-level.
+//   - partitioned-vs-per-leg: a deployment whose Point/Smooth and Merge
+//     stages are built once per receptor type (the default where the
+//     plans allow) against the same deployment with one node per leg and
+//     per group (Deployment.DisablePartitioning), byte-level, under both
+//     schedulers.
 //   - chaos-drop-commute: online drop-fault injection (receptor.Faulty)
 //     against offline trace thinning (receptor.ThinTrace), byte-level.
 //   - recovery-replay-commute: a served deployment killed at a random
@@ -55,9 +60,9 @@ type Config struct {
 	// (check, seed) pair alone.
 	Seed int64
 	// WindowCases, SchedCases, PlanCases, BatchCases, OptCases,
-	// ChaosCases and RecoveryCases size the case generators, one per
-	// check family.
-	WindowCases, SchedCases, PlanCases, BatchCases, OptCases, ChaosCases, RecoveryCases int
+	// PartitionCases, ChaosCases and RecoveryCases size the case
+	// generators, one per check family.
+	WindowCases, SchedCases, PlanCases, BatchCases, OptCases, PartitionCases, ChaosCases, RecoveryCases int
 	// RefStdev, when non-nil, replaces the reference implementation's
 	// standard-deviation finisher. The harness's own tests use it to
 	// inject a deliberately wrong aggregate (the legacy catastrophically
@@ -69,7 +74,7 @@ type Config struct {
 // DefaultConfig sizes a run for `make check`: every check exercised,
 // ≥ 50 cases total, a few seconds of wall clock.
 func DefaultConfig() Config {
-	return Config{Seed: 1, WindowCases: 40, SchedCases: 8, PlanCases: 10, BatchCases: 8, OptCases: 8, ChaosCases: 8, RecoveryCases: 6}
+	return Config{Seed: 1, WindowCases: 40, SchedCases: 8, PlanCases: 10, BatchCases: 8, OptCases: 8, PartitionCases: 24, ChaosCases: 8, RecoveryCases: 6}
 }
 
 // Divergence is one caught disagreement between two execution paths of

@@ -5,7 +5,8 @@ package oracle
 // (seq-vs-parallel, pipeline-vs-reference), PlanCases paired
 // deployments (cql-vs-handbuilt), BatchCases execution-mode pairs
 // (batched-vs-tuple), OptCases planning-mode pairs
-// (optimized-vs-unoptimized), ChaosCases fault-injected deployments
+// (optimized-vs-unoptimized), PartitionCases build-mode pairs
+// (partitioned-vs-per-leg), ChaosCases fault-injected deployments
 // (chaos-drop-commute), and RecoveryCases crash-recovery differentials
 // (recovery-replay-commute). It returns the number of cases
 // executed and the first divergence found, minimized — or nil when every
@@ -40,6 +41,12 @@ func Run(cfg Config) (int, *Divergence) {
 	for i := 0; i < cfg.OptCases; i++ {
 		cases++
 		if d := CheckOptCase(GenPlanCase(cfg.Seed + int64(i))); d != nil {
+			return cases, d
+		}
+	}
+	for i := 0; i < cfg.PartitionCases; i++ {
+		cases++
+		if d := CheckPartitionCase(GenPartitionCase(cfg.Seed + int64(i))); d != nil {
 			return cases, d
 		}
 	}

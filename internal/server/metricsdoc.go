@@ -26,6 +26,7 @@ type MetricFamily struct {
 // familyOf collapses one registered metric name to its family:
 //
 //	node.leg rfid r0@shelf0.tuples_in  -> node.<label>.tuples_in
+//	node.legs rfid.tuples_in           -> node.<label>.tuples_in
 //	stage.rfid/Point.tuples            -> stage.<type>/Point.tuples
 //	poll.rfid.tuples                   -> poll.<type>.tuples
 //	receptor.r0.channel_pending        -> receptor.<id>.channel_pending
@@ -208,7 +209,11 @@ func RenderMetricsDoc(fams []MetricFamily) string {
 	b.WriteString("render as summaries with `quantile` labels plus `_sum`/`_count`/`_max`.\n")
 	b.WriteString("Placeholders: `<type>` a receptor type, `<id>` a receptor ID,\n")
 	b.WriteString("`<label>` a dataflow node label (`<kind> <instance>`, kinds: leg,\n")
-	b.WriteString("merge, arbitrate, output, virtualize).\n")
+	b.WriteString("merge, arbitrate, output, virtualize). A type whose Point/Smooth or\n")
+	b.WriteString("Merge plan is partitionable runs as one node — `legs <type>`,\n")
+	b.WriteString("`merges <type>`, kinds leg and merge — in place of one `leg <type>\n")
+	b.WriteString("<receptor>@<group>` per leg and one `merge <type> <group>` per group;\n")
+	b.WriteString("sum `node.*` over the labels for totals that hold either way.\n")
 	scope := ""
 	for _, f := range fams {
 		if f.Scope != scope {

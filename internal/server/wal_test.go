@@ -226,3 +226,42 @@ func TestServerWALDirConfig(t *testing.T) {
 	}
 	_ = s.Engine().DrainAll()
 }
+
+// TestNoSyncCommitSurvivesProcessCrash pins SetWALNoSync's promise: with
+// the device sync off a commit still hands its records to the OS, so a
+// process crash (Tenant.Crash closes the files without flushing the
+// log's buffers) loses no acked epoch.
+func TestNoSyncCommitSurvivesProcessCrash(t *testing.T) {
+	const epochs = 9
+	dir := t.TempDir()
+	e1 := NewEngine(0)
+	e1.SetWALDir(dir)
+	e1.SetWALNoSync(true)
+	t1, err := e1.Create("shelf", testSpec(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := 1; e <= epochs; e++ {
+		sec := float64(e - 1)
+		pub(t, t1, "reader0", read(sec+0.2, "A", true), read(sec+0.6, "B", true))
+		if err := t1.Advance(at(float64(e))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t1.Crash()
+
+	e2 := NewEngine(0)
+	e2.SetWALDir(dir)
+	e2.SetWALNoSync(true)
+	reports, err := e2.Recover()
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if len(reports) != 1 || reports[0].Epochs != epochs {
+		t.Fatalf("reports = %+v, want %d recovered epochs", reports, epochs)
+	}
+	t2, _ := e2.Tenant("shelf")
+	if !t2.Last().Equal(at(epochs)) {
+		t.Fatalf("recovered clock at %v, want the last acked boundary %v", t2.Last(), at(epochs))
+	}
+}

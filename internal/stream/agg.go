@@ -241,10 +241,12 @@ type accum struct {
 	trackSum, trackMoments, trackMinMax bool
 }
 
-// mkAccum initialises an accumulator by value — cells hold accums inline
-// so one cell costs one allocation regardless of aggregate count.
-func mkAccum(spec AggSpec) accum {
-	a := accum{min: Null(), max: Null(), holistic: spec.holistic()}
+// init readies the accumulator for spec, emptying any previous state but
+// keeping its value buffer and DISTINCT map for reuse — cells and merge
+// scratch are recycled across panes and boundaries.
+func (a *accum) init(spec AggSpec) {
+	vals, distinct := a.vals[:0], a.distinct
+	*a = accum{holistic: spec.holistic(), vals: vals}
 	switch spec.Func {
 	case AggSum:
 		a.trackSum = true
@@ -254,8 +256,20 @@ func mkAccum(spec AggSpec) accum {
 		a.trackMinMax = true
 	}
 	if spec.Distinct {
-		a.distinct = make(map[Value]int64)
+		if distinct == nil {
+			distinct = make(map[Value]int64)
+		} else {
+			clear(distinct)
+		}
+		a.distinct = distinct
 	}
+}
+
+// mkAccum initialises an accumulator by value — cells hold accums inline
+// so one cell costs one allocation regardless of aggregate count.
+func mkAccum(spec AggSpec) accum {
+	var a accum
+	a.init(spec)
 	return a
 }
 
@@ -330,7 +344,9 @@ func (a *accum) merge(b *accum) {
 	a.sum += b.sum
 	a.isum += b.isum
 	a.m.merge(b.m)
-	if a.min.IsNull() {
+	if !a.trackMinMax {
+		// untracked extremes stay NULL on both sides: nothing to fold
+	} else if a.min.IsNull() {
 		a.min, a.max = b.min, b.max
 	} else if !b.min.IsNull() {
 		if c, err := b.min.Compare(a.min); err == nil && c < 0 {

@@ -50,6 +50,25 @@ func ProcessBatchOp(op Operator, b *Batch) (*Batch, []Tuple, error) {
 	return nil, out, nil
 }
 
+// BatchAdvancer is implemented by operators whose punctuation output can
+// stay columnar. AdvanceBatch is the batch analogue of Advance with
+// ProcessBatch's output contract: the rows released by the punctuation
+// come back columnar (outB) or as tuples (outT), never both, and a
+// returned batch is only valid until the operator's next invocation.
+type BatchAdvancer interface {
+	AdvanceBatch(now time.Time) (outB *Batch, outT []Tuple, err error)
+}
+
+// advanceBatchOp punctuates any operator, keeping the released rows
+// columnar when op implements BatchAdvancer.
+func advanceBatchOp(op Operator, now time.Time) (*Batch, []Tuple, error) {
+	if ba, ok := op.(BatchAdvancer); ok {
+		return ba.AdvanceBatch(now)
+	}
+	out, err := op.Advance(now)
+	return nil, out, err
+}
+
 // LastBatchDegraded implements BatchDegradeReporter.
 func (c *Chain) LastBatchDegraded() bool { return c.degraded }
 
@@ -59,11 +78,28 @@ func (c *Chain) LastBatchDegraded() bool { return c.degraded }
 // latched in c.degraded even when the tuple tail is absorbed and the
 // call returns (nil, nil, nil).
 func (c *Chain) ProcessBatch(b *Batch) (*Batch, []Tuple, error) {
+	return c.ProcessBatchRuns(b, nil)
+}
+
+// ProcessBatchRuns is ProcessBatch for a batch whose rows the caller has
+// already attributed to partitions: when the chain opens with a
+// partitioned WindowAgg, runs spares it the per-row partition lookup.
+// Any other first operator ignores the vector.
+func (c *Chain) ProcessBatchRuns(b *Batch, runs []PartitionRun) (*Batch, []Tuple, error) {
 	c.degraded = false
+	return c.feedBatch(0, b, runs)
+}
+
+// feedBatch pushes a batch through operators i..end (see ProcessBatch).
+func (c *Chain) feedBatch(i int, b *Batch, runs []PartitionRun) (*Batch, []Tuple, error) {
 	cur := b
-	for j, op := range c.Ops {
+	for j := i; j < len(c.Ops); j++ {
+		op := c.Ops[j]
 		if cur == nil || cur.Len() == 0 {
 			return nil, nil, nil
+		}
+		if w, ok := op.(*WindowAgg); ok && j == i && runs != nil {
+			return nil, nil, w.processBatch(cur, runs)
 		}
 		bop, ok := op.(BatchOperator)
 		if !ok {
@@ -88,10 +124,47 @@ func (c *Chain) ProcessBatch(b *Batch) (*Batch, []Tuple, error) {
 	if cur != nil && cur.Len() == 0 {
 		return nil, nil, nil
 	}
-	if cur == b && len(c.Ops) == 0 {
-		return cur, nil, nil
-	}
 	return cur, nil, nil
+}
+
+// AdvanceBatch implements BatchAdvancer for Chain: each operator's
+// released rows flow through the operators after it — columnar as far as
+// those allow — before they see the same punctuation, exactly as Advance
+// cascades tuples.
+func (c *Chain) AdvanceBatch(now time.Time) (*Batch, []Tuple, error) {
+	c.degraded = false
+	var resB *Batch
+	var resT []Tuple
+	for i, op := range c.Ops {
+		rb, rt, err := advanceBatchOp(op, now)
+		if err != nil {
+			return nil, nil, err
+		}
+		if rb == nil && len(rt) == 0 {
+			continue
+		}
+		if resB != nil {
+			// The operators about to run again may own resB's buffer.
+			resT, resB = resB.Tuples(), nil
+		}
+		if rb != nil {
+			rb, rt, err = c.feedBatch(i+1, rb, nil)
+		} else {
+			rt, err = c.feed(i+1, rt)
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		if len(resT) == 0 {
+			resB, resT = rb, rt
+			continue
+		}
+		if rb != nil {
+			rt = rb.Tuples()
+		}
+		resT = append(resT, rt...)
+	}
+	return resB, resT, nil
 }
 
 // ProcessBatch implements BatchOperator for Filter. When every row passes
@@ -243,8 +316,15 @@ func compactKept(b *Batch, keep []bool, kept int, obatch **Batch, schema *Schema
 // row. Rows that must be retained (pre-punctuation pending, Naive-mode
 // buffering) get owned copies.
 func (w *WindowAgg) ProcessBatch(b *Batch) (*Batch, []Tuple, error) {
+	return nil, nil, w.processBatch(b, nil)
+}
+
+// processBatch absorbs a batch; runs, when non-nil, attributes its rows
+// to partitions (see PartitionRun) and is only consulted on the columnar
+// path — the row-wise path reads the partition columns.
+func (w *WindowAgg) processBatch(b *Batch, runs []PartitionRun) error {
 	if w.colsOK && w.started && !w.Naive && w.whereFn == nil {
-		return nil, nil, w.absorbBatch(b)
+		return w.absorbBatch(b, runs)
 	}
 	n := b.Len()
 	for i := 0; i < n; i++ {
@@ -253,7 +333,7 @@ func (w *WindowAgg) ProcessBatch(b *Batch) (*Batch, []Tuple, error) {
 		if w.whereFn != nil {
 			v, err := w.whereFn(t)
 			if err != nil {
-				return nil, nil, fmt.Errorf("stream: filter: %w", err)
+				return fmt.Errorf("stream: filter: %w", err)
 			}
 			if !v.Truthy() {
 				continue
@@ -267,10 +347,10 @@ func (w *WindowAgg) ProcessBatch(b *Batch) (*Batch, []Tuple, error) {
 			}
 		}
 		if err := w.absorb(t); err != nil {
-			return nil, nil, err
+			return err
 		}
 	}
-	return nil, nil, nil
+	return nil
 }
 
 // ProcessBatch implements BatchOperator for ArgMax. Process never retains

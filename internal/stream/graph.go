@@ -147,6 +147,20 @@ func (g *Graph) InputSchema(name string) (*Schema, bool) {
 // Inputs lists the input leg names in registration order.
 func (g *Graph) Inputs() []string { return append([]string(nil), g.legOrder...) }
 
+// Linear reports the graph's operators in execution order when the graph
+// is a straight line — one input leg and no combiner, the shape of every
+// single-stream query — so a caller can rewrite the plan as a whole.
+func (g *Graph) Linear() ([]Operator, bool) {
+	if len(g.legOrder) != 1 || g.combiner != nil {
+		return nil, false
+	}
+	ops := append([]Operator(nil), g.legs[g.legOrder[0]].chain.Ops...)
+	if g.post != nil {
+		ops = append(ops, g.post.Ops...)
+	}
+	return ops, true
+}
+
 // Push feeds one tuple into the named input leg and returns any output
 // tuples that flow all the way through.
 func (g *Graph) Push(input string, t Tuple) ([]Tuple, error) {

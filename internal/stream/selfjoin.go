@@ -131,6 +131,12 @@ func (s *SelfJoin) Close() ([]Tuple, error) {
 	return s.emit(s.nextEmit)
 }
 
+// paneCell is one group's partial aggregates within an emission.
+type paneCell struct {
+	groupVals []Value
+	accums    []accum
+}
+
 func (s *SelfJoin) emit(b time.Time) ([]Tuple, error) {
 	lo := b.Add(-s.Range)
 	live := s.buffer[:0]

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -28,12 +29,19 @@ type WindowTelemetrySource interface {
 // Ts = b. A Range of zero denotes the paper's `[Range By 'NOW']` window and
 // is interpreted as "the current epoch", i.e. Range = Slide.
 //
-// Implementation: tuples are folded into per-pane partial aggregates (panes
-// of size gcd(Range, Slide)); a window result merges the panes it spans, so
-// sliding emission costs O(groups × panes) instead of O(tuples). Setting
-// Naive re-aggregates the buffered tuples from scratch on each emission;
-// the two modes are verified equivalent by property tests and compared by
-// the BenchmarkAblationPanes benchmark.
+// Implementation (slotkernel.go): every distinct (partition, group values)
+// pair is interned once into a dense integer slot; tuples are folded into
+// per-pane, slot-indexed partial aggregates (panes of size gcd(Range,
+// Slide)); a window result merges the panes it spans, so sliding emission
+// costs O(groups × panes) instead of O(tuples). Setting Naive re-aggregates
+// the buffered tuples from scratch on each emission, sharing only the key
+// encoding and the group order with the kernel; the two modes are verified
+// equivalent by property tests and compared by the BenchmarkAblationPanes
+// benchmark.
+//
+// Group identity: two rows are in the same group when their group values
+// have the same kind and value; −0 and +0 are one group (reported as 0),
+// all NaNs are one group, and timestamps are compared as instants.
 type WindowAgg struct {
 	GroupBy []NamedExpr
 	Aggs    []AggSpec
@@ -56,6 +64,19 @@ type WindowAgg struct {
 	EmitEmpty bool
 	// Naive selects the re-aggregating implementation (for ablation).
 	Naive bool
+	// PartitionBy names input columns that split the stream into
+	// independent partitions: the operator computes, in one instance, what
+	// one instance per distinct value of these columns would. Output rows
+	// carry the partition columns GroupBy does not already produce, in
+	// front of the group columns. One punctuation's output is the
+	// partitions' outputs one after the other in Partitions' order: for
+	// each partition its boundaries in time order, the groups sorted inside
+	// each. EmitEmpty applies per partition.
+	PartitionBy []string
+	// Partitions lists every partition value (one per PartitionBy column
+	// each), fixing their emission order and the indexes a PartitionRun
+	// refers to. A row of any other partition is an error.
+	Partitions [][]Value
 
 	in, out  *Schema
 	argKinds []Kind
@@ -64,15 +85,20 @@ type WindowAgg struct {
 	started  bool
 	nextEmit time.Time
 	pending  []Tuple // tuples seen before the first punctuation
-	panes    map[int64]*cellStore
 	buffer   []Tuple // Naive mode: live tuples
 
 	groupFns   []EvalFunc
 	argFns     []EvalFunc // nil entries for count(*)
 	havingFn   EvalFunc
 	whereFn    EvalFunc
+	pscratch   []Value // reused per-tuple partition-value buffer
 	gscratch   []Value // reused per-tuple group-value buffer
-	rowScratch []Value // reused batch-row buffer
+	rowScratch []Value // reused batch-row / output-row buffer
+	// partCols holds the input column index of each PartitionBy entry;
+	// frontCols lists the PartitionBy positions emitted in front (those
+	// no GroupBy output already names).
+	partCols  []int
+	frontCols []int
 	// Columnar fast path: when every GROUP BY expression and aggregate
 	// argument is a bare column reference, rows of a Batch are absorbed
 	// straight off the columns — no scratch tuple, no EvalFunc call.
@@ -86,13 +112,17 @@ type WindowAgg struct {
 	// scratch of resolved argument columns.
 	aggFloatable []bool
 	batchArgs    []batchArg
-	// Recycling: evicted pane stores/cells and the per-emit merged store
-	// go on free lists instead of to the garbage collector, so the
-	// steady-state absorb/emit cycle allocates only output tuples. Every
-	// pooled cell owns its groupVals backing (newCell always clones), so
-	// reuse can never alias live group values.
-	freeStores []*cellStore
-	freeCells  []*paneCell
+
+	slotKernel
+
+	// obatch is the reused columnar boundary result; outT replaces it for
+	// the rest of an emission once a result row breaks column homogeneity.
+	// outPart holds each emitted row's partition and oswap is the second
+	// buffer of partitionMajor, both only for a partitioned operator.
+	obatch, oswap *Batch
+	outT          []Tuple
+	outPart       []int32
+
 	// Dropped counts late tuples discarded because every window that
 	// could contain them (boundary ≥ nextEmit, covering (b−Range, b])
 	// had already been emitted.
@@ -107,109 +137,6 @@ type WindowAgg struct {
 // pane count is always zero (tuples are buffered whole, not paned).
 func (w *WindowAgg) WindowTelemetry() (panes, lateDrops int64) {
 	return w.livePanes.Load(), w.lateDrops.Load()
-}
-
-type paneCell struct {
-	groupVals []Value
-	accums    []accum
-}
-
-// cellStore maps group values to pane cells, specialized by group arity:
-// global aggregation (no GROUP BY) needs no map at all, grouping on one
-// expression keys a map on the Value itself (far cheaper to hash than a
-// composite GroupKey), and wider groupings keep the GroupKey map. Cells
-// are also kept in insertion order so iteration is deterministic.
-type cellStore struct {
-	single *paneCell
-	byOne  map[Value]*paneCell
-	byKey  map[GroupKey]*paneCell
-	cells  []*paneCell
-}
-
-func newCellStore(nGroups int) *cellStore {
-	s := &cellStore{}
-	switch nGroups {
-	case 0:
-	case 1:
-		s.byOne = make(map[Value]*paneCell)
-	default:
-		s.byKey = make(map[GroupKey]*paneCell)
-	}
-	return s
-}
-
-func (s *cellStore) get(groupVals []Value) *paneCell {
-	switch {
-	case s.byOne != nil:
-		return s.byOne[groupVals[0]]
-	case s.byKey != nil:
-		return s.byKey[MakeGroupKey(groupVals...)]
-	default:
-		return s.single
-	}
-}
-
-func (s *cellStore) put(c *paneCell) {
-	switch {
-	case s.byOne != nil:
-		s.byOne[c.groupVals[0]] = c
-	case s.byKey != nil:
-		s.byKey[MakeGroupKey(c.groupVals...)] = c
-	default:
-		s.single = c
-	}
-	s.cells = append(s.cells, c)
-}
-
-// reset empties a store for reuse, keeping its maps and cell slice
-// capacity.
-func (s *cellStore) reset() {
-	s.single = nil
-	clear(s.byOne)
-	clear(s.byKey)
-	s.cells = s.cells[:0]
-}
-
-// newCell returns a cell for the given (borrowed) group values, cloning
-// them into owned storage. Recycled cells are reused when available.
-func (w *WindowAgg) newCell(groupVals []Value) *paneCell {
-	if n := len(w.freeCells); n > 0 {
-		cell := w.freeCells[n-1]
-		w.freeCells = w.freeCells[:n-1]
-		cell.groupVals = append(cell.groupVals[:0], groupVals...)
-		for i, a := range w.Aggs {
-			cell.accums[i] = mkAccum(a)
-		}
-		return cell
-	}
-	cell := &paneCell{
-		groupVals: append([]Value(nil), groupVals...),
-		accums:    make([]accum, len(w.Aggs)),
-	}
-	for i, a := range w.Aggs {
-		cell.accums[i] = mkAccum(a)
-	}
-	return cell
-}
-
-// takeStore returns an empty cellStore for this operator's group arity,
-// reusing a recycled one when available.
-func (w *WindowAgg) takeStore() *cellStore {
-	if n := len(w.freeStores); n > 0 {
-		s := w.freeStores[n-1]
-		w.freeStores = w.freeStores[:n-1]
-		return s
-	}
-	return newCellStore(len(w.GroupBy))
-}
-
-// recycleStore moves a store and its cells to the free lists. Callers
-// must be done reading the cells' state (evicted panes, a finished merge
-// scratch); output tuples are safe because finish copies every value.
-func (w *WindowAgg) recycleStore(s *cellStore) {
-	w.freeCells = append(w.freeCells, s.cells...)
-	s.reset()
-	w.freeStores = append(w.freeStores, s)
 }
 
 // Open implements Operator.
@@ -239,7 +166,24 @@ func (w *WindowAgg) Open(in *Schema) error {
 		w.whereFn = CompileExpr(w.Where)
 	}
 
-	fields := make([]Field, 0, len(w.GroupBy)+len(w.Aggs))
+	groupNames := make(map[string]bool, len(w.GroupBy))
+	for _, g := range w.GroupBy {
+		groupNames[strings.ToLower(g.Name)] = true
+	}
+	fields := make([]Field, 0, len(w.PartitionBy)+len(w.GroupBy)+len(w.Aggs))
+	w.partCols = make([]int, len(w.PartitionBy))
+	w.frontCols = w.frontCols[:0]
+	for i, name := range w.PartitionBy {
+		ci, ok := in.Index(name)
+		if !ok {
+			return fmt.Errorf("stream: window partition: unknown column %q in %s", name, in)
+		}
+		w.partCols[i] = ci
+		if !groupNames[strings.ToLower(name)] {
+			w.frontCols = append(w.frontCols, i)
+			fields = append(fields, in.Field(ci))
+		}
+	}
 	w.groupFns = make([]EvalFunc, len(w.GroupBy))
 	w.groupCols = make([]int, len(w.GroupBy))
 	w.colsOK = true
@@ -301,8 +245,7 @@ func (w *WindowAgg) Open(in *Schema) error {
 		}
 		w.havingFn = CompileExpr(w.Having)
 	}
-	w.panes = make(map[int64]*cellStore)
-	return nil
+	return w.initKernel()
 }
 
 // Schema implements Operator.
@@ -326,137 +269,85 @@ func (w *WindowAgg) Process(t Tuple) ([]Tuple, error) {
 	return nil, w.absorb(t)
 }
 
-func (w *WindowAgg) absorb(t Tuple) error {
-	// Drop tuples at or before the left edge of the earliest unemitted
-	// window (nextEmit−Range, nextEmit]: no window with boundary ≥
-	// nextEmit can contain them. The edge itself is excluded — pane
-	// semantics are (b−Range, b]. Both modes apply the same test so the
-	// Dropped counter agrees between them.
-	if !w.nextEmit.IsZero() && !t.Ts.After(w.nextEmit.Add(-w.Range)) {
-		w.Dropped++
-		w.lateDrops.Add(1)
-		return nil
+// late reports whether ts lies at or before the left edge of the earliest
+// unemitted window (nextEmit−Range, nextEmit]: no window with boundary ≥
+// nextEmit can contain it. The edge itself is excluded — pane semantics
+// are (b−Range, b]. Both modes apply the same test so the Dropped counter
+// agrees between them.
+func (w *WindowAgg) late(ts time.Time) bool {
+	return !w.nextEmit.IsZero() && !ts.After(w.nextEmit.Add(-w.Range))
+}
+
+func (w *WindowAgg) drop() {
+	w.Dropped++
+	w.lateDrops.Add(1)
+}
+
+// rowPartition returns the index of a tuple's partition.
+func (w *WindowAgg) rowPartition(t Tuple) (int32, error) {
+	if len(w.partCols) == 0 {
+		return 0, nil
 	}
-	if w.Naive {
-		w.buffer = append(w.buffer, t)
-		return nil
+	w.pscratch = w.pscratch[:0]
+	for _, ci := range w.partCols {
+		w.pscratch = append(w.pscratch, t.Values[ci])
 	}
-	j := w.paneIndex(t.Ts)
-	cells := w.panes[j]
-	if cells == nil {
-		cells = w.takeStore()
-		w.panes[j] = cells
-		w.livePanes.Add(1)
+	return w.partitionOf(w.pscratch)
+}
+
+// rowKeys evaluates a tuple's partition index and group values (the
+// latter into gscratch).
+func (w *WindowAgg) rowKeys(t Tuple) (int32, []Value, error) {
+	p, err := w.rowPartition(t)
+	if err != nil {
+		return 0, nil, err
 	}
 	w.gscratch = w.gscratch[:0]
 	for i, g := range w.GroupBy {
 		v, err := w.groupFns[i](t)
 		if err != nil {
-			return fmt.Errorf("stream: window group %q: %w", g.Name, err)
+			return 0, nil, fmt.Errorf("stream: window group %q: %w", g.Name, err)
 		}
 		w.gscratch = append(w.gscratch, v)
 	}
-	cell := cells.get(w.gscratch)
-	if cell == nil {
-		cell = w.newCell(w.gscratch)
-		cells.put(cell)
-	}
+	return p, w.gscratch, nil
+}
+
+// addRow folds one tuple's aggregate arguments into a cell.
+func (w *WindowAgg) addRow(accs []accum, t Tuple) error {
 	for i, a := range w.Aggs {
 		if a.Arg == nil {
-			cell.accums[i].add(Null(), true)
+			accs[i].add(Null(), true)
 			continue
 		}
 		v, err := w.argFns[i](t)
 		if err != nil {
 			return fmt.Errorf("stream: window agg %s: %w", a, err)
 		}
-		cell.accums[i].add(v, false)
+		accs[i].add(v, false)
 	}
 	return nil
 }
 
-// absorbBatch folds every row of a batch into the pane accumulators
-// straight off the columns — the columnar analogue of absorb, valid only
-// when colsOK (bare-column groups/args), the operator is started, no
-// WHERE is fused, and the mode is not Naive. Per row it performs the same
-// late-drop test, pane lookup, group lookup, and accumulator updates as
-// absorb, so the two paths are observationally identical.
-func (w *WindowAgg) absorbBatch(b *Batch) error {
-	n := b.Len()
-	var lateEdge time.Time
-	checkLate := !w.nextEmit.IsZero()
-	if checkLate {
-		lateEdge = w.nextEmit.Add(-w.Range)
+func (w *WindowAgg) absorb(t Tuple) error {
+	if w.late(t.Ts) {
+		w.drop()
+		return nil
 	}
-	global := len(w.GroupBy) == 0
-	// Resolve each aggregate's argument column once per batch; fast marks
-	// the unboxed float kernel (float column, no NULLs, eligible spec).
-	if cap(w.batchArgs) < len(w.Aggs) {
-		w.batchArgs = make([]batchArg, len(w.Aggs))
+	if w.Naive {
+		// Both modes refuse an unregistered partition on arrival.
+		if _, err := w.rowPartition(t); err != nil {
+			return err
+		}
+		w.buffer = append(w.buffer, t)
+		return nil
 	}
-	args := w.batchArgs[:len(w.Aggs)]
-	for k := range w.Aggs {
-		if ci := w.argCols[k]; ci >= 0 {
-			c := b.Col(ci)
-			args[k] = batchArg{col: c, fast: w.aggFloatable[k] && c.Kind == KindFloat && c.noNulls()}
-		} else {
-			args[k] = batchArg{}
-		}
+	p, g, err := w.rowKeys(t)
+	if err != nil {
+		return err
 	}
-	lastJ := int64(math.MinInt64)
-	var cells *cellStore
-	var cell *paneCell // cached across rows for global aggregation only
-	for i := 0; i < n; i++ {
-		ts := b.RowTs(i)
-		if checkLate && !ts.After(lateEdge) {
-			w.Dropped++
-			w.lateDrops.Add(1)
-			continue
-		}
-		if j := w.paneIndex(ts); j != lastJ {
-			lastJ = j
-			cells = w.panes[j]
-			if cells == nil {
-				cells = w.takeStore()
-				w.panes[j] = cells
-				w.livePanes.Add(1)
-			}
-			cell = nil
-		}
-		if global {
-			if cell == nil {
-				cell = cells.single
-				if cell == nil {
-					cell = w.newCell(nil)
-					cells.put(cell)
-				}
-			}
-		} else {
-			w.gscratch = w.gscratch[:0]
-			for _, ci := range w.groupCols {
-				w.gscratch = append(w.gscratch, b.Col(ci).Value(i))
-			}
-			c := cells.get(w.gscratch)
-			if c == nil {
-				c = w.newCell(w.gscratch)
-				cells.put(c)
-			}
-			cell = c
-		}
-		for k := range args {
-			a := &args[k]
-			if a.col == nil {
-				cell.accums[k].add(Null(), true)
-				continue
-			}
-			if a.fast {
-				cell.accums[k].addFloat(a.col.Floats[i])
-				continue
-			}
-			cell.accums[k].add(a.col.Value(i), false)
-		}
-	}
-	return nil
+	pn := w.paneAt(w.paneIndex(t.Ts))
+	return w.addRow(w.cell(pn, w.slotOf(p, g)), t)
 }
 
 // batchArg is absorbBatch's resolved view of one aggregate argument.
@@ -488,33 +379,115 @@ func gcdDuration(a, b time.Duration) time.Duration {
 	return time.Duration(x)
 }
 
-// Advance implements Operator.
-func (w *WindowAgg) Advance(now time.Time) ([]Tuple, error) {
-	if !w.started {
-		w.started = true
-		w.origin = now
-		w.nextEmit = now
-		for _, t := range w.pending {
-			if err := w.absorb(t); err != nil {
-				return nil, err
-			}
+// start anchors the window grid at origin and absorbs the tuples buffered
+// before it was known.
+func (w *WindowAgg) start(origin time.Time) error {
+	w.started = true
+	w.origin = origin
+	w.nextEmit = origin
+	for _, t := range w.pending {
+		if err := w.absorb(t); err != nil {
+			return err
 		}
-		w.pending = nil
 	}
-	var out []Tuple
-	for !w.nextEmit.After(now) {
-		emitted, err := w.emit(w.nextEmit)
-		if err != nil {
-			return nil, err
+	w.pending = nil
+	return nil
+}
+
+// beginOutput readies the output buffers for one Advance or Close.
+func (w *WindowAgg) beginOutput() {
+	if w.obatch == nil {
+		w.obatch = NewBatch(w.out)
+	} else {
+		w.obatch.Reset(w.out)
+	}
+	w.outT = nil
+	w.outPart = w.outPart[:0]
+}
+
+// partitionMajor reorders an output of several boundaries, emitted
+// boundary by boundary, into partition order — what one instance per
+// partition, punctuated one after the other, would have emitted. The
+// reorder is stable, so each partition keeps its boundaries in time order
+// and its groups sorted.
+func (w *WindowAgg) partitionMajor() {
+	ordered := true
+	for i := 1; i < len(w.outPart); i++ {
+		if w.outPart[i] < w.outPart[i-1] {
+			ordered = false
+			break
 		}
-		if out == nil {
-			out = emitted
-		} else {
-			out = append(out, emitted...)
+	}
+	if ordered {
+		return
+	}
+	perm := make([]int, len(w.outPart))
+	for i := range perm {
+		perm[i] = i
+	}
+	sort.SliceStable(perm, func(i, j int) bool { return w.outPart[perm[i]] < w.outPart[perm[j]] })
+	if w.outT != nil {
+		out := make([]Tuple, len(perm))
+		for i, from := range perm {
+			out[i] = w.outT[from]
+		}
+		w.outT = out
+		return
+	}
+	if w.oswap == nil {
+		w.oswap = NewBatch(w.out)
+	} else {
+		w.oswap.Reset(w.out)
+	}
+	for _, from := range perm {
+		// A reordering of column-homogeneous rows is column-homogeneous.
+		w.oswap.AppendFrom(w.obatch, from)
+	}
+	w.obatch, w.oswap = w.oswap, w.obatch
+}
+
+// output hands the emitted rows over: columnar unless a row broke column
+// homogeneity, (nil, nil) when nothing was emitted.
+func (w *WindowAgg) output() (*Batch, []Tuple) {
+	if w.outT != nil {
+		return nil, w.outT
+	}
+	if w.obatch.Len() == 0 {
+		return nil, nil
+	}
+	return w.obatch, nil
+}
+
+// AdvanceBatch implements BatchAdvancer: every boundary at or before now
+// is emitted into one reused columnar batch.
+func (w *WindowAgg) AdvanceBatch(now time.Time) (*Batch, []Tuple, error) {
+	if !w.started {
+		if err := w.start(now); err != nil {
+			return nil, nil, err
+		}
+	}
+	w.beginOutput()
+	boundaries := 0
+	for ; !w.nextEmit.After(now); boundaries++ {
+		if err := w.emit(w.nextEmit); err != nil {
+			return nil, nil, err
 		}
 		w.nextEmit = w.nextEmit.Add(w.Slide)
 	}
-	return out, nil
+	if boundaries > 1 && len(w.PartitionBy) > 0 {
+		w.partitionMajor()
+	}
+	b, ts := w.output()
+	return b, ts, nil
+}
+
+// Advance implements Operator.
+func (w *WindowAgg) Advance(now time.Time) ([]Tuple, error) {
+	b, ts, err := w.AdvanceBatch(now)
+	if b != nil {
+		ts = b.Tuples()
+	}
+	return ts, err
 }
 
 // Close implements Operator.
@@ -527,82 +500,34 @@ func (w *WindowAgg) Close() ([]Tuple, error) {
 		if len(w.pending) == 0 {
 			return nil, nil
 		}
-		w.started = true
-		w.origin = w.pending[len(w.pending)-1].Ts
-		w.nextEmit = w.origin
-		for _, t := range w.pending {
-			if err := w.absorb(t); err != nil {
-				return nil, err
-			}
+		if err := w.start(w.pending[len(w.pending)-1].Ts); err != nil {
+			return nil, err
 		}
-		w.pending = nil
 	}
 	// Prune state the final window (nextEmit−Range, nextEmit] cannot
 	// observe before deciding whether anything is left to emit, so both
 	// modes agree on whether the closing window fires: panes at or left
 	// of the window's left edge, and buffered tuples at or before it.
 	lo := w.nextEmit.Add(-w.Range)
-	jLo := int64(lo.Sub(w.origin)) / int64(w.pane)
-	for j, st := range w.panes {
-		if j <= jLo {
-			delete(w.panes, j)
-			w.livePanes.Add(-1)
-			w.recycleStore(st)
-		}
-	}
-	live := w.buffer[:0]
-	for _, t := range w.buffer {
-		if t.Ts.After(lo) {
-			live = append(live, t)
-		}
-	}
-	w.buffer = live
+	w.evictThrough(int64(lo.Sub(w.origin)) / int64(w.pane))
+	w.pruneBuffer(lo)
 	if len(w.panes) == 0 && len(w.buffer) == 0 {
 		return nil, nil
 	}
-	return w.emit(w.nextEmit)
+	w.beginOutput()
+	if err := w.emit(w.nextEmit); err != nil {
+		return nil, err
+	}
+	b, ts := w.output()
+	if b != nil {
+		ts = b.Tuples()
+	}
+	return ts, nil
 }
 
-// emit produces the window result for boundary b.
-func (w *WindowAgg) emit(b time.Time) ([]Tuple, error) {
-	if w.Naive {
-		return w.emitNaive(b)
-	}
-	jHi := int64(b.Sub(w.origin)) / int64(w.pane)
-	jLo := int64(b.Add(-w.Range).Sub(w.origin)) / int64(w.pane) // exclusive
-
-	merged := w.takeStore()
-	for j := jLo + 1; j <= jHi; j++ {
-		st := w.panes[j]
-		if st == nil {
-			continue
-		}
-		for _, cell := range st.cells {
-			m := merged.get(cell.groupVals)
-			if m == nil {
-				m = w.newCell(cell.groupVals)
-				merged.put(m)
-			}
-			for i := range w.Aggs {
-				m.accums[i].merge(&cell.accums[i])
-			}
-		}
-	}
-	// Evict panes at or before jLo: every later window starts after them.
-	for j, st := range w.panes {
-		if j <= jLo {
-			delete(w.panes, j)
-			w.livePanes.Add(-1)
-			w.recycleStore(st)
-		}
-	}
-	out, err := w.finish(b, merged)
-	w.recycleStore(merged)
-	return out, err
-}
-
-func (w *WindowAgg) emitNaive(b time.Time) ([]Tuple, error) {
-	lo := b.Add(-w.Range)
+// pruneBuffer drops Naive-mode tuples at or before lo: no later window
+// can contain them.
+func (w *WindowAgg) pruneBuffer(lo time.Time) {
 	live := w.buffer[:0]
 	for _, t := range w.buffer {
 		if t.Ts.After(lo) {
@@ -610,79 +535,122 @@ func (w *WindowAgg) emitNaive(b time.Time) ([]Tuple, error) {
 		}
 	}
 	w.buffer = live
+}
 
-	merged := w.takeStore()
+// emit produces the window result for boundary b.
+func (w *WindowAgg) emit(b time.Time) error {
+	if w.Naive {
+		return w.emitNaive(b)
+	}
+	return w.emitPanes(b)
+}
+
+// naiveGroup is one (partition, group values) cell of a Naive emission.
+type naiveGroup struct {
+	part int32
+	vals []Value
+	accs []accum
+}
+
+// emitNaive re-aggregates the buffered tuples of the window (b−Range, b]
+// from scratch: no slots, no panes, a fresh map and a fresh sort per
+// boundary.
+func (w *WindowAgg) emitNaive(b time.Time) error {
+	w.pruneBuffer(b.Add(-w.Range))
+	groups := make(map[string]*naiveGroup)
+	var order []*naiveGroup
 	for _, t := range w.buffer {
 		if t.Ts.After(b) {
 			continue
 		}
-		w.gscratch = w.gscratch[:0]
-		for i := range w.GroupBy {
-			v, err := w.groupFns[i](t)
-			if err != nil {
-				return nil, err
-			}
-			w.gscratch = append(w.gscratch, v)
+		p, g, err := w.rowKeys(t)
+		if err != nil {
+			return err
 		}
-		cell := merged.get(w.gscratch)
-		if cell == nil {
-			cell = w.newCell(w.gscratch)
-			merged.put(cell)
+		w.keyBuf = appendGroupKey(append(w.keyBuf[:0], byte(p), byte(p>>8), byte(p>>16), byte(p>>24)), g)
+		grp := groups[string(w.keyBuf)]
+		if grp == nil {
+			grp = &naiveGroup{part: p, vals: canonGroupVals(nil, g), accs: make([]accum, len(w.Aggs))}
+			for i, a := range w.Aggs {
+				grp.accs[i].init(a)
+			}
+			groups[string(w.keyBuf)] = grp
+			order = append(order, grp)
 		}
-		for i, a := range w.Aggs {
-			if a.Arg == nil {
-				cell.accums[i].add(Null(), true)
-				continue
-			}
-			v, err := w.argFns[i](t)
-			if err != nil {
-				return nil, err
-			}
-			cell.accums[i].add(v, false)
+		if err := w.addRow(grp.accs, t); err != nil {
+			return err
 		}
 	}
-	out, err := w.finish(b, merged)
-	w.recycleStore(merged)
-	return out, err
+	sort.Slice(order, func(i, j int) bool {
+		if order[i].part != order[j].part {
+			return order[i].part < order[j].part
+		}
+		return cmpGroupVals(order[i].vals, order[j].vals) < 0
+	})
+	next := 0
+	for p := range w.parts {
+		live := false
+		for ; next < len(order) && order[next].part == int32(p); next++ {
+			live = true
+			if err := w.emitRow(b, int32(p), order[next].vals, order[next].accs); err != nil {
+				return err
+			}
+		}
+		if !live {
+			if err := w.emitEmpty(b, int32(p)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
-// finish converts merged group cells into output tuples, sorted by group
-// values for determinism, and applies HAVING.
-func (w *WindowAgg) finish(b time.Time, merged *cellStore) ([]Tuple, error) {
-	cells := merged.cells
-	if len(cells) == 0 {
-		if len(w.GroupBy) == 0 && w.EmitEmpty {
-			empty := &paneCell{accums: make([]accum, len(w.Aggs))}
-			for i, a := range w.Aggs {
-				empty.accums[i] = mkAccum(a)
-			}
-			cells = []*paneCell{empty}
-		} else {
-			return nil, nil
-		}
+// emitEmpty emits partition p's row over empty input when the operator is
+// a global aggregation with EmitEmpty set.
+func (w *WindowAgg) emitEmpty(b time.Time, p int32) error {
+	if len(w.GroupBy) != 0 || !w.EmitEmpty {
+		return nil
 	}
-	sort.Slice(cells, func(i, j int) bool { return lessValues(cells[i].groupVals, cells[j].groupVals) })
+	for i, a := range w.Aggs {
+		w.merged[i].init(a)
+	}
+	return w.emitRow(b, p, nil, w.merged)
+}
 
-	out := make([]Tuple, 0, len(cells))
-	for _, cell := range cells {
-		vals := make([]Value, 0, len(w.GroupBy)+len(w.Aggs))
-		vals = append(vals, cell.groupVals...)
-		for i, a := range w.Aggs {
-			vals = append(vals, cell.accums[i].result(a, w.argKinds[i]))
-		}
-		t := Tuple{Ts: b, Values: vals}
-		if w.havingFn != nil {
-			v, err := w.havingFn(t)
-			if err != nil {
-				return nil, fmt.Errorf("stream: window having: %w", err)
-			}
-			if !v.Truthy() {
-				continue
-			}
-		}
-		out = append(out, t)
+// emitRow finishes one group — partition front columns, group values,
+// aggregate results — applies HAVING, and appends the row to the output.
+func (w *WindowAgg) emitRow(b time.Time, p int32, gvals []Value, accs []accum) error {
+	row := w.rowScratch[:0]
+	for _, i := range w.frontCols {
+		row = append(row, w.parts[p].vals[i])
 	}
-	return out, nil
+	row = append(row, gvals...)
+	for i, a := range w.Aggs {
+		row = append(row, accs[i].result(a, w.argKinds[i]))
+	}
+	w.rowScratch = row
+	if w.havingFn != nil {
+		v, err := w.havingFn(Tuple{Ts: b, Values: row})
+		if err != nil {
+			return fmt.Errorf("stream: window having: %w", err)
+		}
+		if !v.Truthy() {
+			return nil
+		}
+	}
+	if len(w.PartitionBy) > 0 {
+		w.outPart = append(w.outPart, p)
+	}
+	if w.outT == nil {
+		if w.obatch.AppendValues(b, row) {
+			return nil
+		}
+		// A result's kind conflicts with its column (min/max over a
+		// mixed int/float argument): finish the emission as tuples.
+		w.outT = w.obatch.Tuples()
+	}
+	w.outT = append(w.outT, Tuple{Ts: b, Values: append([]Value(nil), row...)})
+	return nil
 }
 
 // lessValues orders value slices lexicographically; NULLs sort first and
@@ -716,4 +684,27 @@ func lessValue(a, b Value) bool {
 		return a.String() < b.String()
 	}
 	return c < 0
+}
+
+// cmpGroupVals orders two group-value slices of equal length: lessValue
+// column by column, with pairs it leaves tied — equal numbers of
+// different kinds, NaN against anything — broken by kind and then by
+// float bits, so distinct groups never compare equal and the order does
+// not depend on arrival.
+func cmpGroupVals(a, b []Value) int {
+	for i := range a {
+		switch {
+		case lessValue(a[i], b[i]):
+			return -1
+		case lessValue(b[i], a[i]):
+			return 1
+		case a[i].kind != b[i].kind:
+			return cmpInt(int64(a[i].kind), int64(b[i].kind))
+		case a[i].kind == KindFloat:
+			if c := cmpInt(int64(math.Float64bits(a[i].f)), int64(math.Float64bits(b[i].f))); c != 0 {
+				return c
+			}
+		}
+	}
+	return 0
 }

@@ -32,9 +32,11 @@ type Options struct {
 	// DefaultSegmentBytes). Rotation happens only at commit barriers,
 	// keeping segments epoch-aligned.
 	SegmentBytes int64
-	// NoSync skips the fdatasync at commit barriers. Only for tests
-	// and the bench's overhead decomposition — it voids the
-	// durability contract.
+	// NoSync skips every device sync of a Commit — the barrier's
+	// fdatasync and those of a segment rotation — while still handing
+	// the committed records to the OS, so they survive a process crash
+	// but not a machine crash. Only for tests and the bench's overhead
+	// decomposition — it voids the durability contract.
 	NoSync bool
 	// Registry, when non-nil, receives the wal_* counters and the
 	// fsync latency histogram.
@@ -112,27 +114,14 @@ func (sw *segWriter) write(rec []byte) error {
 	return err
 }
 
+// syncFile is datasync; tests count the device syncs through it.
+var syncFile = datasync
+
 func (sw *segWriter) sync() error {
 	if err := sw.w.Flush(); err != nil {
 		return err
 	}
-	return datasync(sw.f)
-}
-
-// rotate syncs and closes the current segment and opens the next.
-func (sw *segWriter) rotate() error {
-	if err := sw.sync(); err != nil {
-		return err
-	}
-	if err := sw.f.Close(); err != nil {
-		return err
-	}
-	next, err := openSeg(sw.dir, sw.prefix, sw.seq+1, 0)
-	if err != nil {
-		return err
-	}
-	*sw = *next
-	return syncDir(sw.dir)
+	return syncFile(sw.f)
 }
 
 func (sw *segWriter) close() error {
@@ -276,7 +265,8 @@ func (l *Log) Journal(receptor string, ts []stream.Tuple, then func()) error {
 
 // Commit writes the epoch's cleaned output to the archive, appends the
 // commit barrier to the journal, and makes the journal durable
-// (fdatasync) — the durability point the advance ack stands on.
+// (fdatasync; under NoSync, written to the file) — the durability point
+// the advance ack stands on.
 // Segments that crossed the size threshold rotate afterwards, so
 // segment boundaries are always epoch boundaries. outputs maps stream
 // name → the epoch's cleaned tuples; empty streams are skipped.
@@ -298,11 +288,11 @@ func (l *Log) Commit(epoch time.Time, outputs map[string][]stream.Tuple) error {
 	if err := l.writeBody(l.journal, l.scratch); err != nil {
 		return err
 	}
+	t0 := time.Now()
+	if err := l.settleLocked(l.journal); err != nil {
+		return err
+	}
 	if !l.noSync {
-		t0 := time.Now()
-		if err := l.journal.sync(); err != nil {
-			return err
-		}
 		d := time.Since(t0)
 		l.mFsync.Observe(d)
 		if l.onFsync != nil {
@@ -387,12 +377,41 @@ func (l *Log) writeBody(sw *segWriter, body []byte) error {
 	return nil
 }
 
+// settleLocked hands sw's buffered records to the OS — so they survive
+// a process crash — and, unless NoSync, to the device.
+func (l *Log) settleLocked(sw *segWriter) error {
+	if l.noSync {
+		return sw.w.Flush()
+	}
+	return sw.sync()
+}
+
+// rotateLocked settles and closes sw's current segment and opens the
+// next.
+func (l *Log) rotateLocked(sw *segWriter) error {
+	if err := l.settleLocked(sw); err != nil {
+		return err
+	}
+	if err := sw.f.Close(); err != nil {
+		return err
+	}
+	next, err := openSeg(sw.dir, sw.prefix, sw.seq+1, 0)
+	if err != nil {
+		return err
+	}
+	*sw = *next
+	if l.noSync {
+		return nil
+	}
+	return syncDir(sw.dir)
+}
+
 // maybeRotateLocked rotates any segment past the size threshold. Called
 // only at commit barriers.
 func (l *Log) maybeRotateLocked() error {
 	rotated := false
 	if l.journal.size >= l.segBytes {
-		if err := l.journal.rotate(); err != nil {
+		if err := l.rotateLocked(l.journal); err != nil {
 			return err
 		}
 		l.cat.JournalSegments = l.journal.seq
@@ -400,7 +419,7 @@ func (l *Log) maybeRotateLocked() error {
 		rotated = true
 	}
 	if l.archive.size >= l.segBytes {
-		if err := l.archive.rotate(); err != nil {
+		if err := l.rotateLocked(l.archive); err != nil {
 			return err
 		}
 		l.cat.ArchiveSegments = l.archive.seq

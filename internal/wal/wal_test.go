@@ -377,3 +377,53 @@ func TestLogRecoveryEquivalence(t *testing.T) {
 		t.Fatal("crash+resume history diverges from uninterrupted history")
 	}
 }
+
+// TestNoSyncRotationNeverSyncs: under NoSync a segment rotation must not
+// touch the device either. OnFsync reports the commit barriers only, so
+// the file syncs are counted underneath it: one per barrier and per
+// rotation in the durable run, none in the NoSync one.
+func TestNoSyncRotationNeverSyncs(t *testing.T) {
+	const epochs = 12
+	defer func() { syncFile = datasync }()
+	run := func(noSync bool) (syncs, fsyncs int, cat Catalog) {
+		syncFile = func(f *os.File) error {
+			syncs++
+			return datasync(f)
+		}
+		l, _, err := Open(Options{
+			Dir: t.TempDir(), SegmentBytes: 128, NoSync: noSync,
+			OnFsync: func(time.Duration) { fsyncs++ },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for e := 1; e <= epochs; e++ {
+			if err := l.Journal("m0", []stream.Tuple{reading(e, "m0", float64(e))}, nil); err != nil {
+				t.Fatal(err)
+			}
+			out := map[string][]stream.Tuple{"mote": {reading(e, "m0", float64(e))}}
+			if err := l.Commit(at(e), out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cat = l.Catalog()
+		l.Crash()
+		return syncs, fsyncs, cat
+	}
+	syncs, fsyncs, cat := run(false)
+	rotations := cat.JournalSegments - 1 + cat.ArchiveSegments - 1
+	if rotations < 4 {
+		t.Fatalf("only %d rotations at 128-byte segments: the test exercises nothing", rotations)
+	}
+	if syncs != epochs+rotations || fsyncs != epochs {
+		t.Errorf("durable run: %d file syncs, %d OnFsync calls; want %d barriers + %d rotations, %d",
+			syncs, fsyncs, epochs, rotations, epochs)
+	}
+	syncs, fsyncs, ncat := run(true)
+	if ncat.JournalSegments != cat.JournalSegments || ncat.ArchiveSegments != cat.ArchiveSegments {
+		t.Fatalf("NoSync rotated differently: %+v vs %+v", ncat, cat)
+	}
+	if syncs != 0 || fsyncs != 0 {
+		t.Errorf("NoSync run: %d file syncs, %d OnFsync calls; want none", syncs, fsyncs)
+	}
+}
