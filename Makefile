@@ -24,8 +24,11 @@ build:
 test:
 	$(GO) test ./...
 
+## race: the race detector over the concurrent executor and the ingest
+## path, where reused buffers cross goroutines: frame buffers (server,
+## wire), receptor channels, and the journal.
 race:
-	$(GO) test -race ./internal/core/...
+	$(GO) test -race ./internal/core/... ./internal/server/... ./internal/wire/... ./internal/receptor/... ./internal/wal/...
 
 ## diff: the differential correctness suite (internal/oracle) — every
 ## generated case executed several ways, zero divergence required.

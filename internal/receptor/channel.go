@@ -34,7 +34,10 @@ const DefaultChannelCap = 1 << 16
 // per-publish copy of the whole backlog.
 //
 // Publish is safe for concurrent use; Poll drains every published tuple
-// whose timestamp has arrived.
+// whose timestamp has arrived. A channel past warm-up allocates
+// nothing: the backlog keeps its backing array across polls, and Poll
+// returns one reused slice that is valid until the channel's next Poll
+// (the Receptor ownership rule).
 type Channel struct {
 	id     string
 	typ    Type
@@ -48,6 +51,8 @@ type Channel struct {
 	head    int
 	cap     int
 	dropped atomic.Int64
+	// out is Poll's result, reused by the next Poll.
+	out []stream.Tuple
 }
 
 // NewChannel builds an empty channel receptor with the default buffer
@@ -133,21 +138,31 @@ func (c *Channel) evictLocked() {
 }
 
 // Poll implements Receptor: it drains the tuples published so far whose
-// Ts is at or before now, preserving publish order.
+// Ts is at or before now, preserving publish order. The not-yet-due
+// tuples are compacted to the front of the backlog in place, and the
+// result is the channel's reused slice — valid until the next Poll,
+// which overwrites it.
 func (c *Channel) Poll(now time.Time) []stream.Tuple {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var out, keep []stream.Tuple
+	clear(c.out) // the previous result is expired; drop its references
+	out := c.out[:0]
+	keep := 0
 	for _, t := range c.buf[c.head:] {
 		if t.Ts.After(now) {
-			keep = append(keep, t)
+			c.buf[keep] = t // keep <= the read index: in-place is safe
+			keep++
 			continue
 		}
 		out = append(out, t)
 	}
-	clear(c.buf[c.head:])
-	c.buf = keep
+	clear(c.buf[keep:])
+	c.buf = c.buf[:keep]
 	c.head = 0
+	c.out = out
+	if len(out) == 0 {
+		return nil
+	}
 	return out
 }
 

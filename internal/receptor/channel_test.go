@@ -186,6 +186,54 @@ func TestChannelConcurrentPublishSetCap(t *testing.T) {
 	}
 }
 
+// TestChannelPollReuse pins the in-place Poll: not-yet-due tuples stay
+// queued in publish order, and a poll's result is the previous result's
+// memory — the channel's ownership rule, stated on Receptor.Poll.
+func TestChannelPollReuse(t *testing.T) {
+	c := NewChannel("ch", TypeMote, chanSchema)
+	c.PublishAll([]stream.Tuple{chanTuple(1), chanTuple(5), chanTuple(2), chanTuple(6), chanTuple(0)})
+	first := c.Poll(time.Unix(2, 0).UTC())
+	if len(first) != 3 || first[0].Values[0].AsInt() != 1 || first[2].Values[0].AsInt() != 0 {
+		t.Fatalf("first poll = %v", first)
+	}
+	c.PublishAll([]stream.Tuple{chanTuple(3)})
+	second := c.Poll(time.Unix(6, 0).UTC())
+	var got []int64
+	for _, tu := range second {
+		got = append(got, tu.Values[0].AsInt())
+	}
+	if want := []int64{5, 6, 3}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("second poll = %v, want %v (publish order of the held and new tuples)", got, want)
+	}
+	if &first[0] != &second[0] {
+		t.Error("Poll did not reuse its result slice")
+	}
+	if c.Poll(time.Unix(100, 0).UTC()) != nil || c.Pending() != 0 {
+		t.Errorf("drained channel: pending %d", c.Pending())
+	}
+}
+
+// TestChannelCycleAllocs is the channel's allocation gate: a warm
+// PublishAll + Poll cycle allocates nothing.
+func TestChannelCycleAllocs(t *testing.T) {
+	c := NewChannel("ch", TypeMote, chanSchema)
+	batch := make([]stream.Tuple, 64)
+	for i := range batch {
+		batch[i] = chanTuple(i)
+	}
+	now := time.Unix(1<<20, 0).UTC()
+	cycle := func() {
+		c.PublishAll(batch)
+		if n := len(c.Poll(now)); n != len(batch) {
+			t.Fatalf("polled %d of %d", n, len(batch))
+		}
+	}
+	cycle() // warm: size the backlog and the result slice
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("PublishAll + Poll: %v allocs, want 0", n)
+	}
+}
+
 func BenchmarkChannelSaturatedPublish(b *testing.B) {
 	c := NewChannel("ch", TypeMote, chanSchema)
 	c.SetCap(1024)

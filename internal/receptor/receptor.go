@@ -36,6 +36,12 @@ type Receptor interface {
 	// Poll advances the device to now and returns the readings it
 	// reports for the epoch ending at now. Polls must be called with
 	// strictly increasing times.
+	//
+	// The returned slice is borrowed: it is valid until the receptor's
+	// next Poll, which may reuse its backing array (Channel does). A
+	// caller that keeps readings past that — a trace recorder, a
+	// wrapping receptor holding delayed tuples — copies the Tuple values
+	// out; the tuples' Values slices themselves are never reused.
 	Poll(now time.Time) []stream.Tuple
 }
 

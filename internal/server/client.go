@@ -23,6 +23,11 @@ type Client struct {
 	seq  uint64
 	json bool // encode publishes with the JSON debug fallback
 
+	// rbuf holds the last frame read (a reply's payload aliases it until
+	// the next read) and wbuf the payload being encoded: reused across
+	// calls, so a steady-state publish round trip allocates nothing.
+	rbuf, wbuf []byte
+
 	// tracer, when set, originates trace contexts: sampled publishes
 	// and advances carry a minted trace ID on the wire and record
 	// client-side spans (round-trip latency) beside the server's.
@@ -41,7 +46,12 @@ func Dial(addr string) (*Client, error) {
 		return nil, err
 	}
 	setKeepAlive(conn)
-	return &Client{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}, nil
+	return newClient(conn), nil
+}
+
+// newClient wraps an established connection.
+func newClient(conn net.Conn) *Client {
+	return &Client{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
 }
 
 // Close closes the connection.
@@ -74,7 +84,8 @@ func (c *Client) SetReadDeadline(t time.Time) error { return c.conn.SetReadDeadl
 func (c *Client) SetDeadline(t time.Time) error { return c.conn.SetDeadline(t) }
 
 // roundTrip sends one frame and reads the reply, surfacing protocol
-// errors as Go errors.
+// errors as Go errors. The reply's payload aliases the client's read
+// buffer: decode it before the next call.
 func (c *Client) roundTrip(f wire.Frame) (wire.Frame, error) {
 	if err := wire.WriteFrame(c.bw, f); err != nil {
 		return wire.Frame{}, err
@@ -82,7 +93,7 @@ func (c *Client) roundTrip(f wire.Frame) (wire.Frame, error) {
 	if err := c.bw.Flush(); err != nil {
 		return wire.Frame{}, err
 	}
-	r, err := wire.ReadFrame(c.br)
+	r, err := wire.ReadFrameBuf(c.br, &c.rbuf)
 	if err != nil {
 		return wire.Frame{}, err
 	}
@@ -152,9 +163,12 @@ func (c *Client) PublishSeq(receptorID string, seq uint64, ts []stream.Tuple) (w
 		m.TraceID = uint64(id)
 		t0 = time.Now()
 	}
-	f := m.Frame()
+	var f wire.Frame
 	if c.json {
 		f = m.FrameJSON()
+	} else {
+		c.wbuf = m.AppendPayload(c.wbuf[:0])
+		f = wire.Frame{Type: wire.TypePublish, Payload: c.wbuf}
 	}
 	r, err := c.roundTrip(f)
 	if m.TraceID != 0 {
@@ -258,7 +272,7 @@ func (c *Client) SubscribeFrom(tenant, streamName string, fromEpoch int64) (int6
 // committed epoch).
 func (c *Client) Next() (d wire.Data, final int64, done bool, err error) {
 	for {
-		f, rerr := wire.ReadFrame(c.br)
+		f, rerr := wire.ReadFrameBuf(c.br, &c.rbuf)
 		if rerr != nil {
 			return wire.Data{}, 0, false, rerr
 		}

@@ -258,6 +258,10 @@ func (s *Server) handle(conn net.Conn) {
 	bw := bufio.NewWriter(conn)
 	var tenant *Tenant // bound by hello (or per-frame tenant fields)
 	var sessID string  // bound by a session hello: publishes dedup via the session
+	// The connection's reused buffers: every frame is read into rbuf (its
+	// payload, and a publish's Raw tuple bytes, alias it until the next
+	// read) and every ack encoded into abuf.
+	var rbuf, abuf []byte
 
 	reply := func(f wire.Frame) bool {
 		if s.write > 0 {
@@ -267,6 +271,10 @@ func (s *Server) handle(conn net.Conn) {
 			return false
 		}
 		return bw.Flush() == nil
+	}
+	replyAck := func(ack wire.Ack) bool {
+		abuf = ack.AppendPayload(abuf[:0])
+		return reply(wire.Frame{Type: wire.TypeAck, Payload: abuf})
 	}
 	fail := func(format string, args ...any) bool {
 		if tenant != nil {
@@ -279,7 +287,7 @@ func (s *Server) handle(conn net.Conn) {
 		if s.idle > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(s.idle))
 		}
-		f, err := wire.ReadFrame(br)
+		f, err := wire.ReadFrameBuf(br, &rbuf)
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				// The control loop went quiet past the idle deadline:
@@ -337,7 +345,7 @@ func (s *Server) handle(conn net.Conn) {
 				ack.Seq = lastSeq
 				ack.Epoch = lastEpoch
 			}
-			if !reply(ack.Frame()) {
+			if !replyAck(ack) {
 				return
 			}
 
@@ -356,7 +364,7 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			tenant = t
 			s.log.Info("tenant created", "tenant", m.Tenant)
-			if !reply(wire.Ack{}.Frame()) {
+			if !replyAck(wire.Ack{}) {
 				return
 			}
 
@@ -374,12 +382,7 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			tenant.rpcPublish.Add(1)
 			t0 := time.Now()
-			var ack wire.Ack
-			if sessID != "" {
-				ack, err = tenant.PublishSessionTraced(sessID, m.Seq, m.Receptor, m.Tuples, m.TraceID)
-			} else {
-				ack, err = tenant.PublishTraced(m.Receptor, m.Tuples, m.TraceID)
-			}
+			ack, err := tenant.publish(sessID, m)
 			tenant.rpcPublishNs.Observe(time.Since(t0))
 			if err != nil {
 				if !fail("%v", err) {
@@ -388,7 +391,7 @@ func (s *Server) handle(conn net.Conn) {
 				continue
 			}
 			ack.Seq = m.Seq
-			if !reply(ack.Frame()) {
+			if !replyAck(ack) {
 				return
 			}
 
@@ -414,7 +417,7 @@ func (s *Server) handle(conn net.Conn) {
 				}
 				continue
 			}
-			if !reply(wire.Ack{Seq: m.Seq}.Frame()) {
+			if !replyAck(wire.Ack{Seq: m.Seq}) {
 				return
 			}
 
@@ -451,7 +454,7 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			// The ack's Epoch is the attach point: the client's resume
 			// cursor until the first Data frame lands.
-			if !reply(wire.Ack{Epoch: sub.Attached()}.Frame()) {
+			if !replyAck(wire.Ack{Epoch: sub.Attached()}) {
 				sub.Close()
 				return
 			}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"esp/internal/stream"
+	"esp/internal/receptor"
 	"esp/internal/wire"
 )
 
@@ -41,42 +41,28 @@ func (t *Tenant) AttachSession(id string) (lastSeq uint64, lastEpoch int64, err 
 	return lastSeq, t.Last().UnixNano(), nil
 }
 
-// PublishSession is Publish with exactly-once dedup: a seq at or below
-// the session's high-water mark is acknowledged (with the channel's
-// current backpressure state) but not re-applied. The session lock is
-// held across the apply so a zombie connection replaying the same seq
-// cannot interleave with the live one.
-func (t *Tenant) PublishSession(id string, seq uint64, rec string, ts []stream.Tuple) (wire.Ack, error) {
-	return t.PublishSessionTraced(id, seq, rec, ts, 0)
-}
-
-// PublishSessionTraced is PublishSession carrying the frame's trace
-// context (see PublishTraced). A deduplicated replay is not traced —
-// nothing was applied.
-func (t *Tenant) PublishSessionTraced(id string, seq uint64, rec string, ts []stream.Tuple, traceID uint64) (wire.Ack, error) {
+// publishSession applies a publish with exactly-once dedup: a seq at or
+// below the session's high-water mark is acknowledged (with the
+// channel's current backpressure state) but neither re-applied nor
+// traced. The session lock is held across the apply so a zombie
+// connection replaying the same seq cannot interleave with the live
+// one.
+func (t *Tenant) publishSession(id string, ch *receptor.Channel, m wire.Publish) (wire.Ack, error) {
 	t.sessMu.Lock()
 	defer t.sessMu.Unlock()
 	s, ok := t.sessions[id]
 	if !ok {
 		return wire.Ack{}, fmt.Errorf("server: tenant %q has no session %q (hello first)", t.name, id)
 	}
-	if seq <= s.lastSeq {
-		ch, ok := t.chans[rec]
-		if !ok {
-			return wire.Ack{}, fmt.Errorf("server: tenant %q has no receptor %q", t.name, rec)
-		}
+	if m.Seq <= s.lastSeq {
 		t.dedupDrops.Add(1)
-		return wire.Ack{
-			Pending: int64(ch.Pending()),
-			Cap:     int64(ch.Cap()),
-			Dropped: ch.Dropped(),
-		}, nil
+		return channelAck(ch), nil
 	}
-	ack, err := t.PublishTraced(rec, ts, traceID)
+	ack, err := t.apply(ch, m)
 	if err != nil {
 		return ack, err
 	}
-	s.lastSeq = seq
+	s.lastSeq = m.Seq
 	return ack, nil
 }
 

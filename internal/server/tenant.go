@@ -393,24 +393,43 @@ func (t *Tenant) Epoch() time.Duration { return t.epoch }
 func (t *Tenant) Registry() *telemetry.Registry { return t.reg }
 
 // Publish appends readings to one receptor channel and reports the
-// channel's backpressure state. It does not pass through the actor —
-// channels are thread-safe and eviction at the cap bounds memory — so
-// publishers on many connections never serialize behind a Step.
+// channel's backpressure state — the in-process entry onto the publish
+// path a connection's publish frames take. It does not pass through
+// the actor — channels are thread-safe and eviction at the cap bounds
+// memory — so publishers on many connections never serialize behind a
+// Step.
 func (t *Tenant) Publish(rec string, ts []stream.Tuple) (wire.Ack, error) {
-	return t.PublishTraced(rec, ts, 0)
+	return t.publish("", wire.Publish{Receptor: rec, Tuples: ts})
 }
 
-// PublishTraced is Publish carrying the frame's trace context: a
-// non-zero traceID records a server.apply span (journal + channel
+// publish applies one decoded publish frame — the single publish path;
+// sess, when non-empty, routes it through the session's exactly-once
+// dedup (see publishSession).
+func (t *Tenant) publish(sess string, m wire.Publish) (wire.Ack, error) {
+	ch, ok := t.chans[m.Receptor]
+	if !ok {
+		return wire.Ack{}, fmt.Errorf("server: tenant %q has no receptor %q", t.name, m.Receptor)
+	}
+	if sess != "" {
+		return t.publishSession(sess, ch, m)
+	}
+	return t.apply(ch, m)
+}
+
+// apply journals one publish and appends it to its channel.
+//
+// m.Raw, when set (a binary frame's validated tuple bytes, aliasing the
+// connection's read buffer), is journalled verbatim; without it — an
+// in-process Publish, a JSON-fallback frame — the log encodes m.Tuples.
+// The record is the same either way, and m.Raw is not retained.
+//
+// A non-zero m.TraceID records a server.apply span (journal + channel
 // append) and nominates the ID as the epoch's exemplar — the trace a
 // slow-epoch event and the epoch's Data frames will reference. The
-// untraced path (traceID 0, the overwhelming majority under sampling)
-// adds exactly one predictable branch and no allocations.
-func (t *Tenant) PublishTraced(rec string, ts []stream.Tuple, traceID uint64) (wire.Ack, error) {
-	ch, ok := t.chans[rec]
-	if !ok {
-		return wire.Ack{}, fmt.Errorf("server: tenant %q has no receptor %q", t.name, rec)
-	}
+// untraced path (the overwhelming majority under sampling) adds
+// exactly one predictable branch and no allocations.
+func (t *Tenant) apply(ch *receptor.Channel, m wire.Publish) (wire.Ack, error) {
+	rec, ts := m.Receptor, m.Tuples
 	if max := t.quota.maxPublishTuples(); len(ts) > max {
 		return wire.Ack{}, fmt.Errorf("server: publish of %d tuples exceeds tenant quota %d", len(ts), max)
 	}
@@ -423,7 +442,14 @@ func (t *Tenant) PublishTraced(rec string, ts []stream.Tuple, traceID uint64) (w
 		// The record is durable at the next commit barrier; a crash
 		// before then loses it, which is the documented contract:
 		// clients re-send everything after the last committed epoch.
-		if err := t.jl.Journal(rec, ts, func() { ch.PublishAll(ts) }); err != nil {
+		then := func() { ch.PublishAll(ts) }
+		var err error
+		if m.Raw != nil {
+			err = t.jl.JournalEncoded(rec, m.Raw, then)
+		} else {
+			err = t.jl.Journal(rec, ts, then)
+		}
+		if err != nil {
 			return wire.Ack{}, fmt.Errorf("server: tenant %q: journal: %w", t.name, err)
 		}
 	} else {
@@ -431,19 +457,24 @@ func (t *Tenant) PublishTraced(rec string, ts []stream.Tuple, traceID uint64) (w
 	}
 	t.framesIn.Add(1)
 	t.tuplesIn.Add(int64(len(ts)))
-	if traceID != 0 {
+	if m.TraceID != 0 {
 		// Earliest traced publish wins the exemplar slot for the epoch.
-		t.pendingTrace.CompareAndSwap(0, traceID)
+		t.pendingTrace.CompareAndSwap(0, m.TraceID)
 		t.tracer.Record(telemetry.SpanRecord{
-			TraceID: telemetry.TraceID(traceID), Name: "server.apply", Tenant: t.name,
+			TraceID: telemetry.TraceID(m.TraceID), Name: "server.apply", Tenant: t.name,
 			Detail: rec, Start: t0, DurNs: int64(time.Since(t0)), In: int64(len(ts)),
 		})
 	}
+	return channelAck(ch), nil
+}
+
+// channelAck reports a channel's backpressure state.
+func channelAck(ch *receptor.Channel) wire.Ack {
 	return wire.Ack{
 		Pending: int64(ch.Pending()),
 		Cap:     int64(ch.Cap()),
 		Dropped: ch.Dropped(),
-	}, nil
+	}
 }
 
 // Advance commits every epoch boundary in (last, now]: for each one the

@@ -76,7 +76,9 @@ type Log struct {
 	hasLast  bool
 	archived time.Time // last epoch with archived output
 	hasArch  bool
-	scratch  []byte // record body scratch, reused
+	scratch  []byte             // record body (or its head) scratch, reused
+	enc      []byte             // Journal's tuple-encoding scratch, reused
+	hdr      [recHeaderLen]byte // record header scratch: a field, so it never escapes
 }
 
 // segWriter appends framed records to a sequence of segment files.
@@ -232,31 +234,52 @@ func Open(opts Options) (*Log, *Recovery, error) {
 	return l, &js.rec, nil
 }
 
-// Journal appends one publish record. The record is buffered — durable
-// at the next Commit, which is the ack contract: a publish ack means
-// "journalled", an advance ack means "durable through this epoch".
-// When then is non-nil it runs under the log's lock after a successful
-// append, letting the caller order an in-memory publish identically to
-// the journal (concurrent publishers to one receptor would otherwise
-// race journal order vs. channel order, and replay would not be
-// byte-identical).
+// Journal appends one publish record, encoding ts into the log's
+// scratch buffer and handing it to JournalEncoded's write path. The
+// record is buffered — durable at the next Commit, which is the ack
+// contract: a publish ack means "journalled", an advance ack means
+// "durable through this epoch". When then is non-nil it runs under the
+// log's lock after a successful append, letting the caller order an
+// in-memory publish identically to the journal (concurrent publishers
+// to one receptor would otherwise race journal order vs. channel
+// order, and replay would not be byte-identical).
 func (l *Log) Journal(receptor string, ts []stream.Tuple, then func()) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.enc = wire.AppendTuples(l.enc[:0], ts)
+	return l.journalLocked(receptor, l.enc, then)
+}
+
+// JournalEncoded is Journal for a tuple list that is already encoded:
+// tuples must be a counted tuple list as wire.AppendTuples writes it —
+// a decoded publish frame's Raw bytes — and is written into the record
+// verbatim, without a re-encode. Because the wire decoder accepts only
+// canonical bytes, the record is byte-identical to the one Journal
+// writes for the decoded tuples. tuples is not retained.
+func (l *Log) JournalEncoded(receptor string, tuples []byte, then func()) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.journalLocked(receptor, tuples, then)
+}
+
+// journalLocked is the single publish-record write path.
+func (l *Log) journalLocked(receptor string, tuples []byte, then func()) error {
 	if l.closed {
 		return fmt.Errorf("wal: log is closed")
 	}
-	l.scratch = l.scratch[:0]
-	l.scratch = append(l.scratch, byte(KindPublish))
+	n, _, err := wire.Uvarint(tuples)
+	if err != nil {
+		return fmt.Errorf("wal: publish tuple list: %w", err)
+	}
+	l.scratch = append(l.scratch[:0], byte(KindPublish))
 	l.scratch = appendName(l.scratch, receptor)
-	l.scratch = wire.AppendTuples(l.scratch, ts)
-	if err := l.writeBody(l.journal, l.scratch); err != nil {
+	if err := l.writeRecord(l.journal, l.scratch, tuples); err != nil {
 		return err
 	}
 	l.cat.PublishRecords++
-	l.cat.PublishTuples += int64(len(ts))
+	l.cat.PublishTuples += int64(n)
 	l.mRecords.Add(1)
-	l.mTuples.Add(int64(len(ts)))
+	l.mTuples.Add(int64(n))
 	if then != nil {
 		then()
 	}
@@ -285,7 +308,7 @@ func (l *Log) Commit(epoch time.Time, outputs map[string][]stream.Tuple) error {
 	l.scratch = l.scratch[:0]
 	l.scratch = append(l.scratch, byte(KindCommit))
 	l.scratch = binary.BigEndian.AppendUint64(l.scratch, uint64(epoch.UnixNano()))
-	if err := l.writeBody(l.journal, l.scratch); err != nil {
+	if err := l.writeRecord(l.journal, l.scratch, nil); err != nil {
 		return err
 	}
 	t0 := time.Now()
@@ -346,7 +369,7 @@ func (l *Log) archiveEpochLocked(epoch time.Time, outputs map[string][]stream.Tu
 		l.scratch = appendName(l.scratch, name)
 		l.scratch = binary.BigEndian.AppendUint64(l.scratch, uint64(epoch.UnixNano()))
 		l.scratch = wire.AppendTuples(l.scratch, outputs[name])
-		if err := l.writeBody(l.archive, l.scratch); err != nil {
+		if err := l.writeRecord(l.archive, l.scratch, nil); err != nil {
 			return err
 		}
 		l.cat.OutputRecords++
@@ -356,24 +379,26 @@ func (l *Log) archiveEpochLocked(epoch time.Time, outputs map[string][]stream.Tu
 	l.scratch = l.scratch[:0]
 	l.scratch = append(l.scratch, byte(KindCommit))
 	l.scratch = binary.BigEndian.AppendUint64(l.scratch, uint64(epoch.UnixNano()))
-	return l.writeBody(l.archive, l.scratch)
+	return l.writeRecord(l.archive, l.scratch, nil)
 }
 
-// writeBody frames and appends a prepared record body.
-func (l *Log) writeBody(sw *segWriter, body []byte) error {
-	if len(body) > MaxRecord {
-		return fmt.Errorf("wal: record body %d bytes exceeds %d", len(body), MaxRecord)
+// writeRecord frames and appends one record whose body is head followed
+// by tail — two slices, so a publish's tuple bytes go from the caller's
+// buffer into the segment's without first being copied behind the
+// record's kind and name.
+func (l *Log) writeRecord(sw *segWriter, head, tail []byte) error {
+	n := len(head) + len(tail)
+	if n > MaxRecord {
+		return fmt.Errorf("wal: record body %d bytes exceeds %d", n, MaxRecord)
 	}
-	var hdr [recHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.Checksum(body, crcTable))
-	if err := sw.write(hdr[:]); err != nil {
-		return err
+	binary.BigEndian.PutUint32(l.hdr[:], uint32(n))
+	binary.BigEndian.PutUint32(l.hdr[4:], crc32.Update(crc32.Checksum(head, crcTable), crcTable, tail))
+	for _, b := range [...][]byte{l.hdr[:], head, tail} {
+		if err := sw.write(b); err != nil {
+			return err
+		}
 	}
-	if err := sw.write(body); err != nil {
-		return err
-	}
-	l.mBytes.Add(int64(recHeaderLen + len(body)))
+	l.mBytes.Add(int64(recHeaderLen + n))
 	return nil
 }
 

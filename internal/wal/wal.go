@@ -127,11 +127,15 @@ func appendName(dst []byte, s string) []byte {
 }
 
 // decodeName decodes a length-prefixed name, guarding the length
-// before any allocation.
+// before any allocation. Like the tuple codec it accepts only the
+// minimal varint, so a record that decodes re-encodes byte for byte.
 func decodeName(b []byte) (string, int, error) {
-	n, used := binary.Uvarint(b)
-	if used <= 0 {
+	n, used, err := wire.Uvarint(b)
+	if errors.Is(err, wire.ErrShort) {
 		return "", 0, ErrShort
+	}
+	if err != nil {
+		return "", 0, err
 	}
 	if n > maxName {
 		return "", 0, fmt.Errorf("wal: name length %d exceeds %d", n, maxName)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"esp/internal/stream"
+	"esp/internal/wire"
 )
 
 func at(sec int) time.Time { return time.Unix(int64(sec), 0).UTC() }
@@ -107,6 +108,71 @@ func writeEpochs(t *testing.T, l *Log, n, pubsPerEpoch int) {
 		if err := l.Commit(at(e), out); err != nil {
 			t.Fatalf("commit epoch %d: %v", e, err)
 		}
+	}
+}
+
+// TestJournalEncodedIdentical pins that journalling a publish's encoded
+// tuple bytes verbatim writes the same segment bytes and counts as
+// journalling the decoded tuples: the journal's bytes are the wire's.
+func TestJournalEncodedIdentical(t *testing.T) {
+	pubs := [][]stream.Tuple{
+		{reading(1, "m0", 20.5), reading(1, "m0", 21)},
+		nil,
+		{{Ts: at(2), Values: []stream.Value{stream.Bool(true), stream.Null(), stream.Int(-3), stream.Time(at(9))}}},
+	}
+	segs := make([][]byte, 2)
+	cats := make([]Catalog, 2)
+	for i, encoded := range []bool{false, true} {
+		dir := t.TempDir()
+		l, _ := openTestLog(t, dir, Options{NoSync: true})
+		for _, ts := range pubs {
+			var err error
+			if encoded {
+				err = l.JournalEncoded("m0", wire.AppendTuples(nil, ts), nil)
+			} else {
+				err = l.Journal("m0", ts, nil)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Commit(at(3), nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(dir, JournalSegmentName(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs[i], cats[i] = b, l.Catalog()
+	}
+	if !bytes.Equal(segs[0], segs[1]) {
+		t.Fatalf("journal segments differ:\nJournal        %x\nJournalEncoded %x", segs[0], segs[1])
+	}
+	if cats[0] != cats[1] || cats[1].PublishTuples != 3 {
+		t.Fatalf("catalogs differ: %+v vs %+v", cats[0], cats[1])
+	}
+}
+
+// TestJournalEncodedAllocs is the journal's allocation gate: appending
+// an already-encoded publish allocates nothing.
+func TestJournalEncodedAllocs(t *testing.T) {
+	l, _ := openTestLog(t, t.TempDir(), Options{NoSync: true})
+	defer l.Close()
+	raw := wire.AppendTuples(nil, []stream.Tuple{reading(1, "m0", 20.5), reading(1, "m0", 21)})
+	ran := 0
+	then := func() { ran++ }
+	if n := testing.AllocsPerRun(200, func() {
+		if err := l.JournalEncoded("m0", raw, then); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("JournalEncoded: %v allocs, want 0", n)
+	}
+	if ran == 0 {
+		t.Error("then never ran")
 	}
 }
 

@@ -13,6 +13,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -116,9 +117,7 @@ var (
 // AppendFrame appends the encoded frame to dst and returns the extended
 // slice.
 func AppendFrame(dst []byte, f Frame) []byte {
-	dst = append(dst, magic0, magic1, byte(f.Type), f.Flags)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(f.Payload)))
-	return append(dst, f.Payload...)
+	return append(appendHeader(dst, f.Type, f.Flags, len(f.Payload)), f.Payload...)
 }
 
 // DecodeFrame decodes one frame from the front of b, returning the frame
@@ -145,41 +144,99 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 	return Frame{Type: Type(b[2]), Flags: b[3], Payload: b[HeaderLen:end:end]}, end, nil
 }
 
-// WriteFrame writes one frame to w.
+// appendHeader appends the frame header for a payload of n bytes.
+func appendHeader(dst []byte, t Type, flags uint8, n int) []byte {
+	dst = append(dst, magic0, magic1, byte(t), flags)
+	return binary.BigEndian.AppendUint32(dst, uint32(n))
+}
+
+// WriteFrame writes one frame to w as one contiguous write. To a
+// *bufio.Writer the header and payload are copied straight into the
+// writer's buffer — no intermediate frame is built, nothing allocates —
+// after flushing what is already buffered when the frame would not fit
+// behind it. A frame larger than the whole buffer is assembled and
+// written at once, so the peer never sees a header sent ahead of its
+// payload in a separate write.
 func WriteFrame(w io.Writer, f Frame) error {
 	if len(f.Payload) > MaxPayload {
 		return ErrTooLarge
 	}
-	_, err := w.Write(AppendFrame(nil, f))
+	n := HeaderLen + len(f.Payload)
+	if bw, ok := w.(*bufio.Writer); ok {
+		if n > bw.Available() && bw.Buffered() > 0 {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+		}
+		if n <= bw.Available() {
+			b := appendHeader(bw.AvailableBuffer(), f.Type, f.Flags, len(f.Payload))
+			_, err := bw.Write(append(b, f.Payload...))
+			return err
+		}
+	}
+	_, err := w.Write(AppendFrame(make([]byte, 0, n), f))
 	return err
 }
 
-// ReadFrame reads exactly one frame from r. The header is validated
-// before the payload is allocated, so a corrupt length cannot drive a
-// huge allocation. Error messages carry the offending header fields
-// (magic bytes, or the type byte and announced length) so a
-// corrupted-in-transit stream — a truncating proxy, a half-written
-// frame — is diagnosable from the error alone.
+// ReadFrame reads exactly one frame from r into freshly allocated
+// memory: the returned payload is the caller's to keep. Connection
+// loops read with ReadFrameBuf instead.
 func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [HeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	var buf []byte
+	return ReadFrameBuf(r, &buf)
+}
+
+// maxRetainedBuf bounds the read buffer ReadFrameBuf keeps between
+// frames: a rare oversized frame is read into one-off memory rather
+// than pinning up to MaxPayload per connection for its lifetime.
+const maxRetainedBuf = 1 << 20
+
+// ReadFrameBuf reads exactly one frame from r into *buf, growing it when
+// the frame does not fit. The returned payload aliases *buf: it is valid
+// until the next read into the same buffer, so a caller that keeps any
+// of it must copy. Steady-state reads into a warm buffer allocate
+// nothing.
+//
+// The header is validated before the payload is read, so a corrupt
+// length cannot drive a huge allocation. Error messages carry the
+// offending header fields (magic bytes, or the type byte and announced
+// length) so a corrupted-in-transit stream — a truncating proxy, a
+// half-written frame — is diagnosable from the error alone.
+func ReadFrameBuf(r io.Reader, buf *[]byte) (Frame, error) {
+	b := *buf
+	if cap(b) < HeaderLen {
+		b = make([]byte, HeaderLen)
+		*buf = b
+	}
+	// The header is read into the front of the buffer (a local array
+	// would escape through the io.Reader call) and parsed before the
+	// payload overwrites it.
+	hdr := b[:HeaderLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return Frame{}, err
 	}
 	if hdr[0] != magic0 || hdr[1] != magic1 {
 		return Frame{}, fmt.Errorf("%w: got %#02x %#02x, want %#02x %#02x", ErrBadMagic, hdr[0], hdr[1], magic0, magic1)
 	}
+	typ, flags := Type(hdr[2]), hdr[3]
 	n := binary.BigEndian.Uint32(hdr[4:8])
 	if n > MaxPayload {
 		return Frame{}, fmt.Errorf("%w: frame type %s (0x%02x) announces %d bytes (limit %d)",
-			ErrTooLarge, Type(hdr[2]), hdr[2], n, MaxPayload)
+			ErrTooLarge, typ, byte(typ), n, MaxPayload)
 	}
-	payload := make([]byte, n)
+	if int(n) > cap(b) {
+		b = make([]byte, n)
+		if n <= maxRetainedBuf {
+			*buf = b
+		}
+	}
+	payload := b[:n:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return Frame{}, fmt.Errorf("wire: frame type %s (0x%02x) truncated mid-payload (want %d bytes): %w",
-			Type(hdr[2]), hdr[2], n, err)
+			typ, byte(typ), n, err)
 	}
-	return Frame{Type: Type(hdr[2]), Flags: hdr[3], Payload: payload}, nil
+	return Frame{Type: typ, Flags: flags, Payload: payload}, nil
 }

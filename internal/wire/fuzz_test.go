@@ -9,8 +9,13 @@ import (
 // decoder, then every message decoder that matches the frame type. The
 // invariants are (1) no panic on any input, (2) a frame that decodes
 // re-encodes to the exact same bytes it was decoded from (the codec is
-// canonical for framed bytes), and (3) any message that decodes from a
-// binary frame round-trips through its encoder and decodes equal.
+// canonical for framed bytes), (3) any message that decodes from a
+// binary frame round-trips through its encoder and decodes equal, and
+// (4) a publish payload that decodes carries tuple bytes equal to
+// AppendTuples of what they decoded to — the property that lets the
+// WAL journal those bytes verbatim. The committed corpus holds a
+// non-canonical bool byte and a padded varint, both of which must be
+// rejected rather than decoded.
 func FuzzFrame(f *testing.F) {
 	// Well-formed frames of every type, a JSON fallback, and garbage.
 	seed := func(fr Frame) { f.Add(AppendFrame(nil, fr)) }
@@ -49,6 +54,9 @@ func FuzzFrame(f *testing.F) {
 			}
 		case TypePublish:
 			if m, err := DecodePublish(fr); err == nil && !fr.JSON() {
+				if re := AppendTuples(nil, m.Tuples); !bytes.Equal(re, m.Raw) {
+					t.Fatalf("publish tuple bytes are not canonical:\nin  %x\nout %x", m.Raw, re)
+				}
 				if re := m.Frame(); !bytes.Equal(re.Payload, fr.Payload) {
 					// Payload may legally differ only by trailing junk the
 					// tuple decoder ignored; re-decode must agree instead.

@@ -14,10 +14,22 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
+// decodeJSON decodes a JSON-fallback payload. Kept apart from the binary
+// decoders so their result does not escape through json.Unmarshal —
+// a binary Ack or Advance decodes without allocating.
+func decodeJSON[T any](p []byte) (T, error) {
+	var m T
+	err := json.Unmarshal(p, &m)
+	return m, err
+}
+
 // decodeString decodes a length-prefixed string from the front of b.
 func decodeString(b []byte) (string, int, error) {
-	n, w := binary.Uvarint(b)
-	if w <= 0 || n > uint64(len(b)-w) {
+	n, w, err := Uvarint(b)
+	if err != nil {
+		return "", 0, err
+	}
+	if n > uint64(len(b)-w) {
 		return "", 0, ErrShort
 	}
 	return string(b[w : w+int(n)]), w + int(n), nil
@@ -61,7 +73,7 @@ func (m Hello) Frame() Frame {
 func DecodeHello(f Frame) (Hello, error) {
 	var m Hello
 	if f.JSON() {
-		return m, json.Unmarshal(f.Payload, &m)
+		return decodeJSON[Hello](f.Payload)
 	}
 	t, w, err := decodeString(f.Payload)
 	if err != nil {
@@ -108,15 +120,18 @@ func (m Create) Frame() Frame {
 func DecodeCreate(f Frame) (Create, error) {
 	var m Create
 	if f.JSON() {
-		return m, json.Unmarshal(f.Payload, &m)
+		return decodeJSON[Create](f.Payload)
 	}
 	t, w, err := decodeString(f.Payload)
 	if err != nil {
 		return m, err
 	}
 	rest := f.Payload[w:]
-	n, vw := binary.Uvarint(rest)
-	if vw <= 0 || n > uint64(len(rest)-vw) {
+	n, vw, err := Uvarint(rest)
+	if err != nil {
+		return m, err
+	}
+	if n > uint64(len(rest)-vw) {
 		return m, ErrShort
 	}
 	m.Tenant = t
@@ -131,11 +146,18 @@ func DecodeCreate(f Frame) (Create, error) {
 // propagates the ID through apply, commit, and delivery so one request
 // is observable end to end. It rides as optional trailing bytes, so an
 // untraced publish is byte-compatible with the pre-tracing protocol.
+//
+// Raw is set by DecodePublish on a binary frame: the validated counted
+// tuple list Tuples was decoded from. It aliases the frame payload, and
+// because the decoder accepts only canonical bytes it equals
+// AppendTuples(nil, Tuples) — which is what lets the serving layer
+// journal it verbatim. Encoders ignore it.
 type Publish struct {
 	Receptor string         `json:"receptor"`
 	Seq      uint64         `json:"seq"`
 	Tuples   []stream.Tuple `json:"-"`
 	TraceID  uint64         `json:"trace_id,omitempty"`
+	Raw      []byte         `json:"-"`
 }
 
 type jsonPublish struct {
@@ -147,13 +169,19 @@ type jsonPublish struct {
 
 // Frame encodes the message binary. TraceID is appended only when set.
 func (m Publish) Frame() Frame {
-	p := appendString(nil, m.Receptor)
-	p = binary.BigEndian.AppendUint64(p, m.Seq)
-	p = AppendTuples(p, m.Tuples)
+	return Frame{Type: TypePublish, Payload: m.AppendPayload(nil)}
+}
+
+// AppendPayload appends the binary payload Frame carries to dst — the
+// encoder a connection reuses one buffer with.
+func (m Publish) AppendPayload(dst []byte) []byte {
+	dst = appendString(dst, m.Receptor)
+	dst = binary.BigEndian.AppendUint64(dst, m.Seq)
+	dst = AppendTuples(dst, m.Tuples)
 	if m.TraceID != 0 {
-		p = binary.BigEndian.AppendUint64(p, m.TraceID)
+		dst = binary.BigEndian.AppendUint64(dst, m.TraceID)
 	}
-	return Frame{Type: TypePublish, Payload: p}
+	return dst
 }
 
 // FrameJSON encodes the message with the JSON debug fallback.
@@ -162,7 +190,8 @@ func (m Publish) FrameJSON() Frame {
 	return Frame{Type: TypePublish, Flags: FlagJSON, Payload: b}
 }
 
-// DecodePublish decodes a publish frame (binary or JSON).
+// DecodePublish decodes a publish frame (binary or JSON). A binary
+// frame's Raw aliases f.Payload; Tuples do not.
 func DecodePublish(f Frame) (Publish, error) {
 	var m Publish
 	if f.JSON() {
@@ -193,7 +222,7 @@ func DecodePublish(f Frame) (Publish, error) {
 	if tail := rest[8+n:]; len(tail) >= 8 {
 		trace = binary.BigEndian.Uint64(tail)
 	}
-	return Publish{Receptor: r, Seq: seq, Tuples: ts, TraceID: trace}, nil
+	return Publish{Receptor: r, Seq: seq, Tuples: ts, TraceID: trace, Raw: rest[8 : 8+n : 8+n]}, nil
 }
 
 // Advance drives the tenant's epoch clock to Now (UnixNano): the server
@@ -224,7 +253,7 @@ func (m Advance) Frame() Frame {
 func DecodeAdvance(f Frame) (Advance, error) {
 	var m Advance
 	if f.JSON() {
-		return m, json.Unmarshal(f.Payload, &m)
+		return decodeJSON[Advance](f.Payload)
 	}
 	if len(f.Payload) < 16 {
 		return m, ErrShort
@@ -268,7 +297,7 @@ func (m Subscribe) Frame() Frame {
 func DecodeSubscribe(f Frame) (Subscribe, error) {
 	var m Subscribe
 	if f.JSON() {
-		return m, json.Unmarshal(f.Payload, &m)
+		return decodeJSON[Subscribe](f.Payload)
 	}
 	t, w, err := decodeString(f.Payload)
 	if err != nil {
@@ -382,21 +411,26 @@ type Ack struct {
 // Frame encodes the message binary. Epoch is appended only when set,
 // so a plain ack is byte-compatible with the pre-session protocol.
 func (m Ack) Frame() Frame {
-	p := binary.BigEndian.AppendUint64(nil, m.Seq)
-	p = binary.BigEndian.AppendUint64(p, uint64(m.Pending))
-	p = binary.BigEndian.AppendUint64(p, uint64(m.Cap))
-	p = binary.BigEndian.AppendUint64(p, uint64(m.Dropped))
+	return Frame{Type: TypeAck, Payload: m.AppendPayload(nil)}
+}
+
+// AppendPayload appends the binary payload Frame carries to dst.
+func (m Ack) AppendPayload(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, m.Seq)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(m.Pending))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(m.Cap))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(m.Dropped))
 	if m.Epoch != 0 {
-		p = binary.BigEndian.AppendUint64(p, uint64(m.Epoch))
+		dst = binary.BigEndian.AppendUint64(dst, uint64(m.Epoch))
 	}
-	return Frame{Type: TypeAck, Payload: p}
+	return dst
 }
 
 // DecodeAck decodes an ack frame (binary or JSON).
 func DecodeAck(f Frame) (Ack, error) {
 	var m Ack
 	if f.JSON() {
-		return m, json.Unmarshal(f.Payload, &m)
+		return decodeJSON[Ack](f.Payload)
 	}
 	if len(f.Payload) < 32 {
 		return m, ErrShort
@@ -425,7 +459,7 @@ func (m ErrorMsg) Frame() Frame {
 func DecodeError(f Frame) (ErrorMsg, error) {
 	var m ErrorMsg
 	if f.JSON() {
-		return m, json.Unmarshal(f.Payload, &m)
+		return decodeJSON[ErrorMsg](f.Payload)
 	}
 	s, _, err := decodeString(f.Payload)
 	if err != nil {
@@ -455,7 +489,7 @@ func (m Drain) Frame() Frame {
 func DecodeDrain(f Frame) (Drain, error) {
 	var m Drain
 	if f.JSON() {
-		return m, json.Unmarshal(f.Payload, &m)
+		return decodeJSON[Drain](f.Payload)
 	}
 	if len(f.Payload) < 8 {
 		return m, ErrShort

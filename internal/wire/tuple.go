@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -25,7 +26,29 @@ import (
 // A tuple list is ntuples(uvarint) | tuple... . The encoding is
 // self-describing (no schema needed to decode) and canonical: equal
 // tuples encode to equal bytes, which the serving oracle relies on when
-// fingerprinting output streams.
+// fingerprinting output streams. The decoder enforces the converse —
+// it rejects a bool byte other than 0/1 and a varint longer than its
+// minimal form — so bytes that decode are exactly the encoding of what
+// they decode to, and the WAL can journal a publish's bytes verbatim.
+
+// ErrNonCanonical marks bytes that would decode to a value whose
+// canonical encoding differs from them.
+var ErrNonCanonical = errors.New("wire: non-canonical encoding")
+
+// Uvarint decodes a canonical (minimal-length) uvarint from the front
+// of b, returning the value and the bytes consumed. A truncated or
+// overflowing varint is ErrShort; a padded one — a final byte of zero
+// after at least one continuation byte — is ErrNonCanonical.
+func Uvarint(b []byte) (uint64, int, error) {
+	n, w := binary.Uvarint(b)
+	if w <= 0 {
+		return 0, 0, ErrShort
+	}
+	if w > 1 && b[w-1] == 0 {
+		return 0, 0, fmt.Errorf("%w: %d-byte varint for %d", ErrNonCanonical, w, n)
+	}
+	return n, w, nil
+}
 
 // appendValue appends the canonical encoding of v.
 func appendValue(dst []byte, v stream.Value) []byte {
@@ -67,7 +90,10 @@ func decodeValue(b []byte) (stream.Value, int, error) {
 		if len(rest) < 1 {
 			return stream.Value{}, 0, ErrShort
 		}
-		return stream.Bool(rest[0] != 0), 2, nil
+		if rest[0] > 1 {
+			return stream.Value{}, 0, fmt.Errorf("%w: bool byte %#02x", ErrNonCanonical, rest[0])
+		}
+		return stream.Bool(rest[0] == 1), 2, nil
 	case stream.KindInt:
 		if len(rest) < 8 {
 			return stream.Value{}, 0, ErrShort
@@ -79,8 +105,11 @@ func decodeValue(b []byte) (stream.Value, int, error) {
 		}
 		return stream.Float(math.Float64frombits(binary.BigEndian.Uint64(rest))), 9, nil
 	case stream.KindString:
-		n, w := binary.Uvarint(rest)
-		if w <= 0 || n > uint64(len(rest)-w) {
+		n, w, err := Uvarint(rest)
+		if err != nil {
+			return stream.Value{}, 0, err
+		}
+		if n > uint64(len(rest)-w) {
 			return stream.Value{}, 0, ErrShort
 		}
 		return stream.String(string(rest[w : w+int(n)])), 1 + w + int(n), nil
@@ -113,9 +142,9 @@ func decodeTuple(b []byte) (stream.Tuple, int, error) {
 	}
 	ts := time.Unix(0, int64(binary.BigEndian.Uint64(b))).UTC()
 	off := 8
-	n, w := binary.Uvarint(b[off:])
-	if w <= 0 {
-		return stream.Tuple{}, 0, ErrShort
+	n, w, err := Uvarint(b[off:])
+	if err != nil {
+		return stream.Tuple{}, 0, err
 	}
 	off += w
 	// Each value needs at least its kind byte, so n > len caps malformed
@@ -150,9 +179,9 @@ func AppendTuples(dst []byte, ts []stream.Tuple) []byte {
 // DecodeTuples decodes a counted tuple list from the front of b,
 // returning the tuples and the bytes consumed.
 func DecodeTuples(b []byte) ([]stream.Tuple, int, error) {
-	n, w := binary.Uvarint(b)
-	if w <= 0 {
-		return nil, 0, ErrShort
+	n, w, err := Uvarint(b)
+	if err != nil {
+		return nil, 0, err
 	}
 	off := w
 	// A tuple encodes to >= 9 bytes, bounding a hostile count.

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
@@ -228,6 +229,124 @@ func TestDecodeTuplesHostileCounts(t *testing.T) {
 	enc := AppendTuple(nil, stream.Tuple{Ts: time.Unix(0, 0), Values: []stream.Value{stream.String("abcdef")}})
 	if _, _, err := decodeTuple(enc[:len(enc)-3]); err == nil {
 		t.Fatal("truncated string decoded")
+	}
+}
+
+// TestDecodeRejectsNonCanonical pins strict decoding: a bool byte other
+// than 0/1 and a padded varint (tuple count, value count, string
+// length) decode to tuples whose canonical encoding differs from the
+// input, so they must be errors — otherwise the WAL's verbatim journal
+// would not be byte-identical to a re-encoding.
+func TestDecodeRejectsNonCanonical(t *testing.T) {
+	ts := []stream.Tuple{{Ts: time.Unix(1, 0).UTC(), Values: []stream.Value{stream.Bool(true), stream.String("ab")}}}
+	enc := AppendTuples(nil, ts)
+	// enc = count(1) | ts(8) | nvals(1) | kind bool, 1 | kind string, len 2, "ab"
+	boolAt, countAt, nvalsAt, strlenAt := 11, 0, 9, 13
+	if enc[boolAt] != 1 || enc[countAt] != 1 || enc[nvalsAt] != 2 || enc[strlenAt] != 2 {
+		t.Fatalf("unexpected layout %x", enc)
+	}
+	if _, _, err := DecodeTuples(enc); err != nil {
+		t.Fatalf("canonical bytes rejected: %v", err)
+	}
+	badBool := bytes.Clone(enc)
+	badBool[boolAt] = 2
+	pad := func(at int) []byte { // re-encode the one-byte varint at `at` in two bytes
+		b := append(bytes.Clone(enc[:at]), enc[at]|0x80, 0)
+		return append(b, enc[at+1:]...)
+	}
+	for name, b := range map[string][]byte{
+		"bool byte 2":       badBool,
+		"padded count":      pad(countAt),
+		"padded nvals":      pad(nvalsAt),
+		"padded string len": pad(strlenAt),
+	} {
+		_, _, err := DecodeTuples(b)
+		if !errors.Is(err, ErrNonCanonical) || !strings.HasPrefix(err.Error(), "wire: ") {
+			t.Errorf("%s: err = %v, want a wire: ErrNonCanonical", name, err)
+		}
+	}
+	// A publish carrying them is refused, not journalled as re-encoded.
+	p := appendString(nil, "m0")
+	p = binary.BigEndian.AppendUint64(p, 1)
+	if _, err := DecodePublish(Frame{Type: TypePublish, Payload: append(p, pad(countAt)...)}); !errors.Is(err, ErrNonCanonical) {
+		t.Errorf("publish with padded count: err = %v", err)
+	}
+	// The publish's Raw is exactly its tuple bytes.
+	m, err := DecodePublish(Frame{Type: TypePublish, Payload: append(p, enc...)})
+	if err != nil || !bytes.Equal(m.Raw, enc) {
+		t.Fatalf("Raw = %x, %v; want %x", m.Raw, err, enc)
+	}
+}
+
+// TestFrameIOAllocs is the allocation gate of the frame loop: writing a
+// frame to a bufio.Writer and reading one into a warm buffer allocate
+// nothing.
+func TestFrameIOAllocs(t *testing.T) {
+	f := Publish{Receptor: "m0", Seq: 1, Tuples: sampleTuples()}.Frame()
+	bw := bufio.NewWriter(io.Discard)
+	if n := testing.AllocsPerRun(100, func() {
+		if err := WriteFrame(bw, f); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("WriteFrame to a bufio.Writer: %v allocs, want 0", n)
+	}
+
+	enc := AppendFrame(nil, f)
+	var r bytes.Reader
+	var buf []byte
+	read := func() {
+		r.Reset(enc)
+		got, err := ReadFrameBuf(&r, &buf)
+		if err != nil || !bytes.Equal(got.Payload, f.Payload) {
+			t.Fatalf("ReadFrameBuf = %v, %v", got, err)
+		}
+	}
+	read() // warm the buffer
+	if n := testing.AllocsPerRun(100, read); n != 0 {
+		t.Errorf("ReadFrameBuf into a warm buffer: %v allocs, want 0", n)
+	}
+}
+
+// writeCounter records the size of each write reaching the connection.
+type writeCounter struct {
+	writes []int
+	bytes.Buffer
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, len(p))
+	return w.Buffer.Write(p)
+}
+
+// TestWriteFrameContiguous pins that WriteFrame never costs the peer a
+// frame split over more writes than the bytes need: a frame that does
+// not fit behind buffered bytes flushes them first, and a frame larger
+// than the whole buffer goes out in one write of its own.
+func TestWriteFrameContiguous(t *testing.T) {
+	small := Frame{Type: TypeAck, Payload: make([]byte, 32)}
+	mid := Frame{Type: TypePublish, Payload: bytes.Repeat([]byte{7}, 48)}
+	big := Frame{Type: TypeData, Payload: bytes.Repeat([]byte{9}, 300)}
+	var w writeCounter
+	bw := bufio.NewWriterSize(&w, 64)
+	for _, f := range []Frame{small, mid, big} {
+		if err := WriteFrame(bw, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// small alone (mid does not fit behind it), mid alone (flushed ahead
+	// of big), then big in one write of its own.
+	if want := []int{40, 56, 308}; !reflect.DeepEqual(w.writes, want) {
+		t.Errorf("write sizes %v, want %v", w.writes, want)
+	}
+	for _, want := range []Frame{small, mid, big} {
+		got, err := ReadFrame(&w.Buffer)
+		if err != nil || got.Type != want.Type || !bytes.Equal(got.Payload, want.Payload) {
+			t.Fatalf("read back %v, %v; want %v", got.Type, err, want.Type)
+		}
 	}
 }
 
