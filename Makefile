@@ -4,16 +4,21 @@ GO ?= go
 # `make check` runs, longer via `make fuzz FUZZTIME=5m`.
 FUZZTIME ?= 10s
 
-.PHONY: check vet build test race diff chaos serve-smoke wal-smoke netchaos-smoke obsserve-smoke bench-smoke fuzz-smoke fuzz bench bench-json
+.PHONY: check fmt vet build test race diff chaos serve-smoke wal-smoke netchaos-smoke obsserve-smoke bench-smoke fuzz-smoke fuzz bench bench-json
 
-## check: everything CI needs — vet, build, full tests, race-detector pass
-## over the concurrent executor, the differential oracle suite, the chaos
-## (fault-injection) harness, the serving-layer smoke (loadgen vs the
-## in-process oracle), the WAL crash-recovery smoke, the network-chaos
-## resilient-session smoke, the observability smoke (tracing, ops
-## surfaces, metrics-doc drift, overhead gates), the serving benchmark's
-## functional pass, and a short fuzz round per target.
-check: vet build test race diff chaos serve-smoke wal-smoke netchaos-smoke obsserve-smoke bench-smoke fuzz-smoke
+## check: everything CI needs — a gofmt gate, vet, build, full tests, a
+## race-detector pass over every package that starts goroutines, the
+## differential oracle suite, the chaos (fault-injection) harness, the
+## serving-layer smoke (loadgen vs the in-process oracle), the WAL
+## crash-recovery smoke, the network-chaos resilient-session smoke, the
+## observability smoke (tracing, ops surfaces, metrics-doc drift,
+## overhead gates), the serving benchmark's functional pass, and a short
+## fuzz round per target.
+check: fmt vet build test race diff chaos serve-smoke wal-smoke netchaos-smoke obsserve-smoke bench-smoke fuzz-smoke
+
+## fmt: fail when any Go file is not gofmt-formatted (lists the files).
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -24,11 +29,15 @@ build:
 test:
 	$(GO) test ./...
 
-## race: the race detector over the concurrent executor and the ingest
-## path, where reused buffers cross goroutines: frame buffers (server,
-## wire), receptor channels, and the journal.
+## race: the race detector over every package that starts goroutines or
+## is read from one while another writes: the core's snapshots taken
+## while a run steps, the ingest path where reused buffers cross
+## goroutines (server, wire, receptor channels, the journal), the window
+## and telemetry primitives, the chaos proxy, the oracle's served
+## recovery runs, and the CQL layer.
 race:
-	$(GO) test -race ./internal/core/... ./internal/server/... ./internal/wire/... ./internal/receptor/... ./internal/wal/...
+	$(GO) test -race ./internal/core/... ./internal/server/... ./internal/wire/... ./internal/receptor/... ./internal/wal/... \
+		./internal/stream/... ./internal/telemetry/... ./internal/netchaos/... ./internal/oracle/... ./internal/cql/...
 
 ## diff: the differential correctness suite (internal/oracle) — every
 ## generated case executed several ways, zero divergence required.

@@ -15,10 +15,7 @@ import (
 	"testing"
 	"time"
 
-	"esp/internal/core"
 	"esp/internal/exp"
-	"esp/internal/receptor"
-	"esp/internal/sim"
 	"esp/internal/stream"
 )
 
@@ -243,77 +240,3 @@ func windowAggBench(b *testing.B, naive bool) {
 // against from-scratch re-aggregation (DESIGN.md: punctuated push model).
 func BenchmarkAblationPanes(b *testing.B)      { windowAggBench(b, false) }
 func BenchmarkAblationPanesNaive(b *testing.B) { windowAggBench(b, true) }
-
-// runnerBench drives the shelf deployment with either runner.
-func runnerBench(b *testing.B, concurrent bool) {
-	for i := 0; i < b.N; i++ {
-		cfg := sim.DefaultShelfConfig()
-		sc, err := sim.NewShelfScenario(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		recs := make([]receptor.Receptor, len(sc.Readers))
-		for j, r := range sc.Readers {
-			recs[j] = r
-		}
-		p, err := core.NewProcessor(&core.Deployment{
-			Epoch:     cfg.PollPeriod,
-			Receptors: recs,
-			Groups:    sc.Groups,
-			Pipelines: map[receptor.Type]*core.Pipeline{
-				receptor.TypeRFID: {
-					Type:      receptor.TypeRFID,
-					Point:     core.PointChecksum("checksum_ok"),
-					Smooth:    core.SmoothTagCount(5 * time.Second),
-					Arbitrate: core.ArbitrateMaxSum("tag_id", "n"),
-				},
-			},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		start := time.Unix(0, 0).UTC()
-		end := start.Add(60 * time.Second)
-		if concurrent {
-			err = p.RunConcurrent(start, end)
-		} else {
-			err = p.Run(start, end)
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationRunner compares the synchronous and channel-based
-// (Fjord-style) processor runners, which are output-identical.
-func BenchmarkAblationRunnerSync(b *testing.B)       { runnerBench(b, false) }
-func BenchmarkAblationRunnerConcurrent(b *testing.B) { runnerBench(b, true) }
-
-// BenchmarkSchedulerSeqVsParallel compares the two dataflow schedulers on
-// a wide deployment (48 legs, 12 merges — see exp.DefaultSchedConfig,
-// shortened here so the suite stays fast). Output is byte-identical
-// either way (TestSchedulerEquivalence); this measures only wall time.
-// Parallel gains require multiple cores: on GOMAXPROCS=1 the pool
-// degrades to sequential execution plus queuing overhead.
-func BenchmarkSchedulerSeqVsParallel(b *testing.B) {
-	cfg := exp.DefaultSchedConfig()
-	cfg.Duration = 2 * time.Hour
-	b.Run("seq", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, _, err := exp.RunWideSched(cfg, core.SeqScheduler{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		sched := core.NewParallelScheduler(0)
-		defer sched.Close()
-		b.ReportMetric(float64(sched.Workers()), "workers")
-		for i := 0; i < b.N; i++ {
-			if _, _, _, err := exp.RunWideSched(cfg, sched); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

@@ -7,7 +7,7 @@ import (
 )
 
 // runBatch measures the columnar batch path + plan optimizer against the
-// row-at-a-time tuple path on the wide scheduler workload and writes
+// row-at-a-time tuple path on the wide workload and writes
 // BENCH_batch.json.
 func runBatch(bool) error {
 	fmt.Println("== batch: columnar execution + plan optimizer vs tuple-at-a-time ==")

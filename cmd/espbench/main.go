@@ -8,7 +8,6 @@
 //	espbench -exp yield    §5.2 redwood epoch yield / accuracy ladder
 //	espbench -exp spatial  §5.3.2 spatial-granule sweep
 //	espbench -exp fig9     §6  digital-home person detector
-//	espbench -exp sched    dataflow-scheduler comparison (seq vs parallel)
 //	espbench -exp chaos    fault-injection harness (supervised runtime)
 //	espbench -exp baseline telemetry-off wall-time profile (BENCH_baseline.json)
 //	espbench -exp obs      runtime-telemetry overhead matrix (BENCH_obs.json)
@@ -31,7 +30,7 @@ import (
 )
 
 func main() {
-	expName := flag.String("exp", "all", "experiment id: fig3, fig5, fig6, fig7, yield, spatial, fig9, actuation, model, robust, sched, chaos, baseline, obs, batch, wal, netchaos, obsserve, all")
+	expName := flag.String("exp", "all", "experiment id: fig3, fig5, fig6, fig7, yield, spatial, fig9, actuation, model, robust, chaos, baseline, obs, batch, wal, netchaos, obsserve, all")
 	trace := flag.Bool("trace", false, "emit per-epoch trace CSV after the summary")
 	seed := flag.Int64("seed", 0, "override the simulation seed (0 = calibrated defaults)")
 	flag.Parse()
@@ -48,7 +47,6 @@ func main() {
 		"actuation": runActuation,
 		"model":     runModel,
 		"robust":    runRobust,
-		"sched":     runSched,
 		"chaos":     runChaos,
 		"baseline":  runBaseline,
 		"obs":       runObs,
@@ -57,7 +55,7 @@ func main() {
 		"netchaos":  runNetChaos,
 		"obsserve":  runObsServe,
 	}
-	order := []string{"fig3", "fig5", "fig6", "fig7", "yield", "spatial", "fig9", "actuation", "model", "robust", "sched", "chaos", "baseline", "obs", "batch", "wal", "netchaos", "obsserve"}
+	order := []string{"fig3", "fig5", "fig6", "fig7", "yield", "spatial", "fig9", "actuation", "model", "robust", "chaos", "baseline", "obs", "batch", "wal", "netchaos", "obsserve"}
 
 	if *expName == "all" {
 		for _, name := range order {
@@ -232,18 +230,4 @@ func b2i(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-func runSched(bool) error {
-	fmt.Println("== sched: dataflow-scheduler comparison (wide deployment) ==")
-	fmt.Println("   SeqScheduler vs ParallelScheduler on 48 legs / 12 merges; identical output, wall time only")
-	res, err := exp.RunSchedulerComparison(exp.DefaultSchedConfig())
-	if err != nil {
-		return err
-	}
-	fmt.Printf("   %d receptors, %d groups, %d epochs, %d worker(s)\n",
-		res.Receptors, res.Groups, res.Epochs, res.Workers)
-	fmt.Printf("   sequential %v   parallel %v   speedup %.2fx   (%d output tuples, identical=%v)\n",
-		res.SeqWall, res.ParWall, res.Speedup, res.OutputTuples, res.Identical)
-	return nil
 }

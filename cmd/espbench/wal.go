@@ -7,7 +7,7 @@ import (
 	"esp/internal/exp"
 )
 
-// runWAL measures write-ahead-log append overhead on the served sched
+// runWAL measures write-ahead-log append overhead on the served wide
 // workload and boot-recovery time of a large crashed journal, and
 // writes BENCH_wal.json.
 func runWAL(bool) error {

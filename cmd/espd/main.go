@@ -1,6 +1,6 @@
 // Command espd is the ESP serving daemon: it hosts many independent
 // cleaning pipelines (one per tenant) behind a length-prefixed binary
-// wire protocol (with a JSON debug fallback) on TCP.
+// wire protocol on TCP.
 //
 // Clients create or alter pipelines by submitting a spec — the same
 // deployment JSON espclean accepts (CQL stage queries plus granule

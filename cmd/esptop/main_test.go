@@ -53,10 +53,10 @@ func TestPollAndRenderFirstFrame(t *testing.T) {
 	for _, want := range []string{
 		"conns=7", "active=2", "tenants=1",
 		"TENANT", "acme",
-		"250ms",  // staleness
-		"200µs",  // step p99
-		"1.2ms",  // ingest p99
-		"70µs",   // delivery p99
+		"250ms", // staleness
+		"200µs", // step p99
+		"1.2ms", // ingest p99
+		"70µs",  // delivery p99
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("frame missing %q:\n%s", want, out)

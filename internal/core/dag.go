@@ -12,21 +12,14 @@ import (
 
 // dag is the compiled dataflow graph of a Deployment: the nodes in a
 // fixed topological order (legs, merges, arbitrates, type outputs,
-// virtualize — the order every scheduler's determinism guarantee is
-// stated against), the downstream adjacency derived from the nodes'
-// declared upstream edges, the depth levels parallel execution exploits,
-// and the receptor→leg fan-out index.
+// virtualize — the order step punctuates them in), the downstream
+// adjacency derived from the nodes' declared upstream edges, and the
+// receptor→leg fan-out index.
 type dag struct {
 	p     *Processor
 	nodes []node
 	// down[i] lists node i's downstream edges in node-index order.
 	down [][]downEdge
-	// level[i] is node i's DAG depth; levels[d] lists the node indices at
-	// depth d in ascending order. Every edge goes from a lower level to a
-	// strictly higher one, so the nodes within one level are mutually
-	// independent — the invariant ParallelScheduler relies on.
-	level  []int
-	levels [][]int
 	// sources[r] lists the legs fed by dep.Receptors[r], in leg
 	// construction order — built once at compile time so the per-epoch
 	// fan-out is O(legs) instead of O(receptors × legs). staged lists the
@@ -69,14 +62,49 @@ type source struct {
 	member int
 }
 
-// stage queues a receptor's polled epoch on src's collapsed legs node. It
-// reports false for a per-leg source, which takes a delivery instead.
-func (g *dag) stage(src source, ts []stream.Tuple) bool {
-	if src.member < 0 {
-		return false
+// step executes one epoch of the graph on the calling goroutine:
+// injection in receptor order (a collapsed legs node taking its whole
+// type's batch at the type's first receptor), then punctuation in
+// topological node order (legs, merges, arbitrates, outputs, virtualize),
+// with every emission cascading depth-first into its downstream nodes
+// immediately. On a per-leg graph this reproduces the classic hand-rolled
+// Processor loop bit for bit.
+func (g *dag) step(now time.Time, batches [][]stream.Tuple) error {
+	defer g.dropStaged()
+	// Collapsed legs nodes stage their members' runs first; per-leg
+	// nodes take their batch in the source pass below.
+	for r, ts := range batches {
+		if len(ts) == 0 {
+			continue
+		}
+		for _, src := range g.sources[r] {
+			if src.member >= 0 {
+				g.nodes[src.node].(*legsNode).stage(src.member, ts)
+			}
+		}
 	}
-	g.nodes[src.node].(*legsNode).stage(src.member, ts)
-	return true
+	// Sources run in node order: a per-leg node at its receptor, a
+	// collapsed legs node — over everything staged — at its first member.
+	for r, ts := range batches {
+		for _, src := range g.sources[r] {
+			var err error
+			switch {
+			case src.member == 0:
+				err = g.processStaged(src.node)
+			case src.member < 0 && len(ts) > 0:
+				err = g.processInto(src.node, "", ts)
+			}
+			if err != nil {
+				return err
+			}
+		}
+	}
+	for i := range g.nodes {
+		if err := g.advanceNode(i, now); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // dropStaged discards staged runs no node consumed (a failed epoch), so a
@@ -95,10 +123,10 @@ type downEdge struct {
 
 // nodeCounters is the live instrumentation state of one node: handles
 // into the processor's telemetry registry, resolved once at wiring time
-// so the hot path never does a name lookup. Within an epoch each entry
-// is written by a single goroutine (the scheduler, or the one worker
-// running the node's level task), but snapshots may be taken from other
-// goroutines while a run is in flight — the handles are atomics inside.
+// so the hot path never does a name lookup. Each entry is written only by
+// the goroutine stepping the graph, but snapshots may be taken from other
+// goroutines while a run is in flight (a metrics scrape while a served
+// tenant steps) — the handles are atomics inside.
 // The advance histogram doubles as the per-stage latency distribution
 // (p50/p90/p99/max) in the unified snapshot.
 type nodeCounters struct {
@@ -121,31 +149,17 @@ func compileDag(p *Processor, nodes []node) (*dag, error) {
 		p:     p,
 		nodes: nodes,
 		down:  make([][]downEdge, len(nodes)),
-		level: make([]int, len(nodes)),
 		stats: make([]nodeCounters, len(nodes)),
 
 		quarantined: make([]atomic.Bool, len(nodes)),
 	}
-	maxLevel := 0
 	for i, n := range nodes {
-		lvl := 0
 		for _, e := range n.upstream() {
 			if e.from < 0 || e.from >= i {
 				return nil, fmt.Errorf("core: dataflow graph is not topologically ordered: node %d (%s) reads node %d", i, n.label(), e.from)
 			}
 			g.down[e.from] = append(g.down[e.from], downEdge{to: i, port: e.port})
-			if g.level[e.from]+1 > lvl {
-				lvl = g.level[e.from] + 1
-			}
 		}
-		g.level[i] = lvl
-		if lvl > maxLevel {
-			maxLevel = lvl
-		}
-	}
-	g.levels = make([][]int, maxLevel+1)
-	for i := range nodes {
-		g.levels[g.level[i]] = append(g.levels[g.level[i]], i)
 	}
 	// Receptor fan-out index: a receptor's legs appear consecutively in
 	// construction order, whichever node serves them.
@@ -173,10 +187,9 @@ func compileDag(p *Processor, nodes []node) (*dag, error) {
 }
 
 // run invokes one node call on a fresh effects buffer under the panic
-// guard, then cascades its effects and emissions depth-first — the
-// sequential execution strategy, which reproduces the classic Processor's
-// call sequence exactly. A call that panicked under supervision leaves
-// its partial effects discarded.
+// guard, then cascades its effects and emissions depth-first, which
+// reproduces the classic Processor's call sequence exactly. A call that
+// panicked under supervision leaves its partial effects discarded.
 func (g *dag) run(i int, call func(fx *effects) error) error {
 	fx := g.getFx()
 	ok, err := g.guard(i, func() error { return call(fx) })
@@ -292,8 +305,7 @@ func (g *dag) flushCascade(i int, fx *effects) error {
 }
 
 // flushEvents invokes the buffered taps and sink deliveries in emission
-// order. Always called on the scheduler goroutine: user callbacks never
-// observe node concurrency.
+// order, on the goroutine stepping the graph.
 func (g *dag) flushEvents(fx *effects) {
 	for i := range fx.events {
 		ev := &fx.events[i]
@@ -346,10 +358,9 @@ func (g *dag) flushEvents(fx *effects) {
 // counters — the hook later observability layers attach to.
 type NodeStats struct {
 	// Label names the node instance; Kind is "leg", "merge", "arbitrate",
-	// "output", or "virtualize"; Level is the node's DAG depth.
+	// "output", or "virtualize".
 	Label string
 	Kind  string
-	Level int
 	// TuplesIn counts tuples delivered to the node (receptor batches for
 	// legs); TuplesOut counts tuples the node emitted downstream.
 	TuplesIn, TuplesOut int64
@@ -384,7 +395,6 @@ func (p *Processor) NodeStats() []NodeStats {
 		out[i] = NodeStats{
 			Label:          n.label(),
 			Kind:           n.kindName(),
-			Level:          g.level[i],
 			TuplesIn:       st.tuplesIn.Load(),
 			TuplesOut:      st.tuplesOut.Load(),
 			BatchesIn:      st.batchesIn.Load(),

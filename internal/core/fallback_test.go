@@ -50,13 +50,8 @@ func fallbackCounts(p *Processor) map[string]int64 {
 
 // TestBatchFallbackExactCounts pins the fallback accounting rule: a
 // columnar delivery that leaves the batch path counts exactly once, at
-// the node where it degrades, and never again downstream — under both
-// schedulers.
+// the node where it degrades, and never again downstream.
 func TestBatchFallbackExactCounts(t *testing.T) {
-	schedulers := map[string]func() Scheduler{
-		"seq":      func() Scheduler { return SeqScheduler{} },
-		"parallel": func() Scheduler { return NewParallelScheduler(4) },
-	}
 	cases := []struct {
 		name  string
 		merge Stage
@@ -104,16 +99,14 @@ func TestBatchFallbackExactCounts(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		for sname, mk := range schedulers {
-			t.Run(tc.name+"/"+sname, func(t *testing.T) {
-				got := runFallbackCase(t, mk(), tc.merge, tc.arb)
-				for kind, want := range tc.want {
-					if got[kind] != want {
-						t.Errorf("%s fallbacks = %d, want %d (all: %v)", kind, got[kind], want, got)
-					}
+		t.Run(tc.name, func(t *testing.T) {
+			got := runFallbackCase(t, tc.merge, tc.arb)
+			for kind, want := range tc.want {
+				if got[kind] != want {
+					t.Errorf("%s fallbacks = %d, want %d (all: %v)", kind, got[kind], want, got)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -160,7 +153,7 @@ func TestBatchFallbackVirtualizeAbsorbNotCounted(t *testing.T) {
 }
 
 // runFallbackCase is runFallbackDeployment flattened to per-kind totals.
-func runFallbackCase(t *testing.T, sched Scheduler, merge, arb Stage) map[string]int64 {
+func runFallbackCase(t *testing.T, merge, arb Stage) map[string]int64 {
 	t.Helper()
 	rec := &fakeReceptor{id: "r0", typ: receptor.TypeRFID, schema: rfidRaw,
 		queue: []stream.Tuple{
@@ -178,9 +171,6 @@ func runFallbackCase(t *testing.T, sched Scheduler, merge, arb Stage) map[string
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sched != nil {
-		p.SetScheduler(sched)
 	}
 	if err := p.Run(at(0), at(3)); err != nil {
 		t.Fatal(err)

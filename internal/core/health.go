@@ -82,8 +82,8 @@ func (o pollOutcome) cause() string {
 }
 
 // receptorHealth is the live supervision state of one receptor. The
-// mutex guards the state machine (poll decisions may come from
-// RunConcurrent worker goroutines); the counters are registry handles
+// mutex guards the state machine (HealthStats and the gauges read it
+// from other goroutines while a run steps); the counters are registry handles
 // (atomics inside) so HealthStats and Telemetry snapshots can read
 // concurrently with a run. The handles are nil in bare FSM unit tests —
 // every telemetry method is a nil-safe no-op.

@@ -12,8 +12,8 @@ import (
 // a Deployment into. Every pipeline instance — a (receptor, proximity
 // group) leg, a group's Merge, a type's Arbitrate, a type's output
 // fan-out, and the cross-type Virtualize query — is one uniform vertex
-// in a DAG (dag.go); a Scheduler (scheduler.go) decides how the graph
-// executes. Adding a new stage kind means adding one node type, not
+// in a DAG (dag.go), which steps each epoch depth-first on the calling
+// goroutine. Adding a new stage kind means adding one node type, not
 // another hand-written loop in the epoch driver.
 
 // upEdge declares one of a node's upstream inputs: tuples emitted by the
@@ -27,18 +27,17 @@ type upEdge struct {
 
 // node is one vertex of the compiled dataflow graph. Nodes never invoke
 // user callbacks (taps, sinks) or downstream nodes directly: they record
-// every externally observable side effect in the effects buffer, and the
-// scheduler flushes it on its own goroutine — immediately for
-// SeqScheduler, after the level barrier in deterministic node order for
-// ParallelScheduler. That contract is what lets independent nodes run
-// concurrently without user code ever seeing concurrency.
+// every externally observable side effect in the effects buffer, which
+// the graph flushes once the invocation returns. That contract makes a
+// node invocation all-or-nothing: a call that panics under supervision
+// has its partial effects discarded (dag.run).
 type node interface {
 	// label names the node for instrumentation, e.g. "leg rfid r0@shelf0".
 	label() string
 	// kindName classifies the node for instrumentation.
 	kindName() string
 	// upstream declares the node's input edges; the compiler inverts them
-	// into the downstream adjacency and the DAG depth levels.
+	// into the downstream adjacency.
 	upstream() []upEdge
 	// process consumes a batch of tuples arriving on an input port.
 	process(port string, ts []stream.Tuple, fx *effects) error
@@ -47,9 +46,8 @@ type node interface {
 	// representation internally whenever an operator is not batch-capable
 	// (stream.ProcessBatchOp), so every node accepts both forms.
 	processBatch(port string, b *stream.Batch, fx *effects) error
-	// advance punctuates the node at the end of an epoch. Schedulers must
-	// advance a node only after all of its upstream nodes' epoch output
-	// has been delivered to it.
+	// advance punctuates the node at the end of an epoch, after all of its
+	// upstream nodes' epoch output has been delivered to it.
 	advance(now time.Time, fx *effects) error
 	// windowSources lists the node's window-state telemetry sources, for
 	// pane-occupancy and late-drop gauges. nil for windowless nodes.
@@ -78,7 +76,7 @@ type effects struct {
 	events []effectEvent
 	outs   []emission
 	// fallbacks counts batch-path degradations inside this invocation
-	// (a polled batch that was not column-homogeneous); the scheduler
+	// (a polled batch that was not column-homogeneous); the graph
 	// folds it into the node's batch_fallbacks counter.
 	fallbacks int64
 }
@@ -197,10 +195,10 @@ func (fx *effects) reset() {
 }
 
 // materialize converts every buffered batch (events and emissions) into
-// owned tuples. The parallel scheduler calls it between deliveries to a
-// multi-input node: a queued batch is owned by the operator that
-// produced it and would be invalidated by that operator's next
-// invocation.
+// owned tuples. A buffered batch is owned by the operator that produced
+// it and would be invalidated by that operator's next invocation, so a
+// node that invokes its operators again before returning (legsNode
+// closing a batch early) materializes what it has buffered first.
 func (fx *effects) materialize() {
 	for i := range fx.events {
 		if ev := &fx.events[i]; ev.b != nil {
@@ -216,7 +214,7 @@ func (fx *effects) materialize() {
 
 // legNode is one (receptor, proximity group) processing instance: the
 // per-receptor Point and Smooth stages plus the annotation fix-up. It is
-// a source node — the scheduler feeds its input port with the receptor's
+// a source node — the graph feeds its input port with the receptor's
 // polled batch each epoch, annotation columns not yet attached.
 type legNode struct {
 	rec    receptor.Receptor
@@ -231,8 +229,7 @@ type legNode struct {
 	// prefix holds the constant annotation values [receptor_id, granule]
 	// prepended to every polled tuple; inBatch is the reused columnar
 	// batch the polled epoch is packed into, and advBatch the reused
-	// batch the punctuation output is re-annotated into (separate
-	// buffers: process emissions may still be queued when advance runs).
+	// batch the punctuation output is re-annotated into.
 	// noBatch pins the leg to the tuple path (Deployment.DisableBatching
 	// — batches originate only at leg and merge nodes, all gated by it).
 	prefix   []stream.Value
@@ -296,7 +293,7 @@ func (n *legNode) process(_ string, ts []stream.Tuple, fx *effects) error {
 	return nil
 }
 
-// processBatch implements node. Legs are source nodes — the scheduler
+// processBatch implements node. Legs are source nodes — the graph
 // injects polled tuples, never batches — so this only exists to satisfy
 // the interface and simply materializes.
 func (n *legNode) processBatch(_ string, b *stream.Batch, fx *effects) error {

@@ -102,7 +102,7 @@ type stagedRun struct {
 
 // legsNode serves every leg of one receptor type with one partitioned
 // Point and one partitioned Smooth. It is a source node: each epoch the
-// scheduler stages the polled tuples of the type's receptors (stage),
+// graph stages the polled tuples of the type's receptors (stage),
 // then invokes process once, which packs them into one batch — one
 // AppendRun per staged run, whose extents double as the partition run
 // vector — and pushes it through the stages.
@@ -270,11 +270,7 @@ func (n *legsNode) tapPoint(b *stream.Batch, ts []stream.Tuple, fx *effects) {
 }
 
 // advance punctuates the stages: Point's released rows are processed by
-// Smooth before Smooth sees the same punctuation. Batches this epoch's
-// process call emitted may still be queued (the parallel scheduler runs
-// both on one effects buffer); they stay valid, because a stage that let
-// rows through while processing holds no window operator, so its
-// punctuation releases nothing and writes no buffer.
+// Smooth before Smooth sees the same punctuation.
 func (n *legsNode) advance(now time.Time, fx *effects) error {
 	var cur *stream.Batch
 	var curT []stream.Tuple

@@ -29,7 +29,7 @@ func byLabel(sinks string) map[string]string {
 // be byte-identical, the partitioned graph must really have collapsed, and
 // it must not count a batch fallback the per-leg graph does not.
 func TestPartitionedMatchesPerLeg(t *testing.T) {
-	for _, c := range schedCases() {
+	for _, c := range exampleCases() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			perLegCase := c
@@ -38,8 +38,8 @@ func TestPartitionedMatchesPerLeg(t *testing.T) {
 				dep.DisablePartitioning = true
 				return dep
 			}
-			part := runSchedCase(t, c, SeqScheduler{})
-			perLeg := runSchedCase(t, perLegCase, SeqScheduler{})
+			part := runExampleCase(t, c)
+			perLeg := runExampleCase(t, perLegCase)
 			if perLeg.sinks == "" {
 				t.Fatal("per-leg run produced no sink output")
 			}
@@ -184,45 +184,36 @@ func subEpochSlideDeployment(t *testing.T) *Deployment {
 // collapsed node must hand them on leg by leg (and group by group), as
 // the per-leg graph does — not boundary by boundary.
 func TestPartitionedSubEpochSlide(t *testing.T) {
-	c := schedCase{name: "sub-epoch slide", epoch: 2 * time.Second, dur: 8 * time.Second, build: subEpochSlideDeployment}
+	c := exampleCase{name: "sub-epoch slide", epoch: 2 * time.Second, dur: 8 * time.Second, build: subEpochSlideDeployment}
 	perLegCase := c
 	perLegCase.build = func(t *testing.T) *Deployment {
 		dep := c.build(t)
 		dep.DisablePartitioning = true
 		return dep
 	}
-	perLeg := runSchedCase(t, perLegCase, SeqScheduler{})
+	perLeg := runExampleCase(t, perLegCase)
 	if perLeg.taps["tap/mote/Merge"] == "" {
 		t.Fatal("per-leg run produced no Merge output")
 	}
-	par := NewParallelScheduler(4)
-	defer par.Close()
-	var sinks string // both schedulers interleave the types alike
-	for name, sched := range map[string]Scheduler{"seq": SeqScheduler{}, "parallel": par} {
-		part := runSchedCase(t, c, sched)
-		if sinks != "" && part.sinks != sinks {
-			t.Fatalf("the schedulers' sink output differs: %s", firstDiff(sinks, part.sinks))
+	part := runExampleCase(t, c)
+	collapsed := 0
+	for _, ns := range part.nodes {
+		if ns.Label == "legs mote" || ns.Label == "merges mote" {
+			collapsed++
 		}
-		sinks = part.sinks
-		collapsed := 0
-		for _, ns := range part.nodes {
-			if ns.Label == "legs mote" || ns.Label == "merges mote" {
-				collapsed++
-			}
+	}
+	if collapsed != 2 {
+		t.Fatalf("%d collapsed mote nodes, want legs and merges", collapsed)
+	}
+	want := byLabel(perLeg.sinks)
+	for label, got := range byLabel(part.sinks) {
+		if got != want[label] {
+			t.Fatalf("sink stream %s differs: %s", label, firstDiff(want[label], got))
 		}
-		if collapsed != 2 {
-			t.Fatalf("%s: %d collapsed mote nodes, want legs and merges", name, collapsed)
-		}
-		want := byLabel(perLeg.sinks)
-		for label, got := range byLabel(part.sinks) {
-			if got != want[label] {
-				t.Fatalf("%s: sink stream %s differs: %s", name, label, firstDiff(want[label], got))
-			}
-		}
-		for label, w := range perLeg.taps {
-			if part.taps[label] != w {
-				t.Fatalf("%s: tap stream %s differs: %s", name, label, firstDiff(w, part.taps[label]))
-			}
+	}
+	for label, w := range perLeg.taps {
+		if part.taps[label] != w {
+			t.Fatalf("tap stream %s differs: %s", label, firstDiff(w, part.taps[label]))
 		}
 	}
 }

@@ -80,15 +80,14 @@ type Deployment struct {
 // one legs and one merges node per type where the stage plans can be
 // built once for the whole type (partition.go); one Arbitrate and one
 // output fan-out per type, one Virtualize — and each
-// epoch it polls the receptors and hands the batches to the configured
-// Scheduler, which pushes them through the graph and punctuates every
-// node in pipeline order so results are deterministic.
+// epoch it polls the receptors, pushes the batches through the graph
+// and punctuates every node in pipeline order so results are
+// deterministic.
 type Processor struct {
 	dep *Deployment
 	env BuildEnv
 
 	graph *dag
-	sched Scheduler
 	sup   *supervisor // nil until EnableSupervision
 	// polled is Step's reused per-receptor batch table.
 	polled [][]stream.Tuple
@@ -205,7 +204,7 @@ func StripAnnotation(sch *stream.Schema) (*stream.Schema, func(stream.Tuple) str
 
 // dagBuilder accumulates nodes during deployment compilation. Nodes are
 // appended in topological order — legs, merges, arbitrates, outputs,
-// virtualize — which is also the punctuation order schedulers honour.
+// virtualize — which is also the order nodes are punctuated in.
 type dagBuilder struct {
 	nodes []node
 	// legs lists every (receptor, group) leg in construction order and
@@ -296,9 +295,8 @@ func NewProcessor(dep *Deployment) (*Processor, error) {
 		return nil, fmt.Errorf("core: deployment has no proximity groups")
 	}
 	p := &Processor{
-		dep:   dep,
-		sched: SeqScheduler{},
-		tel:   telemetry.NewRegistry(),
+		dep: dep,
+		tel: telemetry.NewRegistry(),
 
 		typeSchema:  make(map[receptor.Type]*stream.Schema),
 		virtInputOf: make(map[receptor.Type]string),
@@ -334,15 +332,6 @@ func NewProcessor(dep *Deployment) (*Processor, error) {
 	p.graph = g
 	p.initTelemetry()
 	return p, nil
-}
-
-// SetScheduler selects the execution strategy for subsequent epochs (the
-// default is SeqScheduler). Only swap schedulers between Steps, never
-// while one is executing.
-func (p *Processor) SetScheduler(s Scheduler) {
-	if s != nil {
-		p.sched = s
-	}
 }
 
 func (p *Processor) pipelineFor(t receptor.Type) *Pipeline {

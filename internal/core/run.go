@@ -32,21 +32,38 @@ func (p *Processor) RunContext(ctx context.Context, start, end time.Time) error 
 	return nil
 }
 
-// Step executes one epoch ending at now: it polls every receptor and
-// hands the batches to the configured Scheduler, which pushes them
-// through the dataflow graph and punctuates every node in an order
-// consistent with the pipeline (legs, then merges, then arbitrates, then
-// virtualize) so windowed results cascade deterministically.
+// Step executes one epoch ending at now: it polls every receptor, pushes
+// the batches through the dataflow graph and punctuates every node in an
+// order consistent with the pipeline (legs, then merges, then
+// arbitrates, then virtualize) so windowed results cascade
+// deterministically.
 func (p *Processor) Step(now time.Time) error {
 	if p.polled == nil {
 		p.polled = make([][]stream.Tuple, len(p.dep.Receptors))
 	}
+	defer clear(p.polled) // the epoch's tuples are the receptors' to reclaim
 	for i := range p.dep.Receptors {
 		p.polled[i] = p.poll(i, now)
 	}
-	err := p.stepBatches(now, p.polled)
-	clear(p.polled) // the epoch's tuples are the receptors' to reclaim
-	return err
+	var ls *lineageStep
+	if p.tel.Enabled() {
+		// Lineage snapshots the stage counters before this epoch's polled
+		// tuples are accounted, so span deltas cover the whole epoch.
+		if p.lin != nil {
+			ls = p.beginLineage(now, p.polled)
+		}
+		p.countPolled(p.polled)
+	}
+	if err := p.graph.step(now, p.polled); err != nil {
+		return err
+	}
+	if ls != nil {
+		p.finishLineage(ls)
+	}
+	for _, fn := range p.epochSinks {
+		fn(now)
+	}
+	return nil
 }
 
 // poll gathers one receptor's epoch batch, through the supervisor when
@@ -57,32 +74,6 @@ func (p *Processor) poll(i int, now time.Time) []stream.Tuple {
 		return p.sup.poll(i, now)
 	}
 	return p.dep.Receptors[i].Poll(now)
-}
-
-// stepBatches injects one epoch's polled batches (indexed like
-// dep.Receptors) through the scheduler and fires the epoch hooks.
-// Injection order is the receptor order, so output is deterministic
-// regardless of how the batches were gathered.
-func (p *Processor) stepBatches(now time.Time, batches [][]stream.Tuple) error {
-	var ls *lineageStep
-	if p.tel.Enabled() {
-		// Lineage snapshots the stage counters before this epoch's polled
-		// tuples are accounted, so span deltas cover the whole epoch.
-		if p.lin != nil {
-			ls = p.beginLineage(now, batches)
-		}
-		p.countPolled(batches)
-	}
-	if err := p.sched.step(p.graph, now, batches); err != nil {
-		return err
-	}
-	if ls != nil {
-		p.finishLineage(ls)
-	}
-	for _, fn := range p.epochSinks {
-		fn(now)
-	}
-	return nil
 }
 
 // planVirtualize plans the Virtualize query against the per-type output

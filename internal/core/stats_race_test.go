@@ -7,19 +7,16 @@ import (
 )
 
 // TestStatsConcurrentWithRun polls EnableStats snapshots and NodeStats
-// while a run is in flight under the ParallelScheduler. Before the
-// counters became atomics this was a data race (the snapshot closure
-// read plain int64s that pool workers were incrementing) — run with
-// -race, as the Makefile check target does, to enforce the fix.
+// from a second goroutine while a run is in flight — the served shape,
+// where a metrics scrape reads the counters while the tenant steps. The
+// counters are atomics for this; run with -race, as the Makefile check
+// target does, to enforce it.
 func TestStatsConcurrentWithRun(t *testing.T) {
-	dep := shelfSchedDeployment(t)
+	dep := shelfDeployment(t)
 	p, err := NewProcessor(dep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := NewParallelScheduler(4)
-	defer sched.Close()
-	p.SetScheduler(sched)
 	snap := p.EnableStats()
 
 	done := make(chan struct{})

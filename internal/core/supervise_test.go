@@ -291,25 +291,6 @@ func TestNodePanicIsolation(t *testing.T) {
 	}
 }
 
-// TestNodePanicIsolationParallel is the same scenario on the parallel
-// scheduler: the panic happens on a pool worker and must quarantine the
-// node without corrupting the barrier protocol.
-func TestNodePanicIsolationParallel(t *testing.T) {
-	p := panickingDeployment(t)
-	s := NewParallelScheduler(4)
-	defer s.Close()
-	p.SetScheduler(s)
-	p.EnableSupervision(SupervisorConfig{})
-	if err := p.Run(at(0), at(8)); err != nil {
-		t.Fatalf("supervised parallel run failed: %v", err)
-	}
-	for _, ns := range p.NodeStats() {
-		if ns.Kind == "merge" && (ns.Panics != 1 || !ns.Quarantined) {
-			t.Fatalf("merge node = %+v, want 1 panic and quarantined", ns)
-		}
-	}
-}
-
 // TestMergeVoteLiveDegradation: as group members die and quarantine, the
 // live quorum rescales where a fixed MergeVote threshold under-reports.
 func TestMergeVoteLiveDegradation(t *testing.T) {
@@ -363,10 +344,10 @@ func TestMergeVoteLiveDegradation(t *testing.T) {
 	}
 }
 
-// TestRunContextCancel: both run loops stop at the next epoch boundary
-// once the context is cancelled and report ctx.Err().
+// TestRunContextCancel: the run loop stops at the next epoch boundary
+// once the context is cancelled and reports ctx.Err().
 func TestRunContextCancel(t *testing.T) {
-	build := func() *Processor {
+	t.Run("run", func(t *testing.T) {
 		p, err := NewProcessor(&Deployment{
 			Epoch:     time.Second,
 			Receptors: []receptor.Receptor{receptor.NewReplay("m0", receptor.TypeMote, moteTempSchema, tempTrace(100, 0))},
@@ -375,35 +356,28 @@ func TestRunContextCancel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return p
-	}
-	for name, run := range map[string]func(*Processor, context.Context) error{
-		"run":        func(p *Processor, ctx context.Context) error { return p.RunContext(ctx, at(0), at(100)) },
-		"concurrent": func(p *Processor, ctx context.Context) error { return p.RunConcurrentContext(ctx, at(0), at(100)) },
-	} {
-		t.Run(name, func(t *testing.T) {
-			p := build()
-			ctx, cancel := context.WithCancel(context.Background())
-			epochs := 0
-			p.OnEpoch(func(time.Time) {
-				epochs++
-				if epochs == 3 {
-					cancel()
-				}
-			})
-			if err := run(p, ctx); err != context.Canceled {
-				t.Fatalf("err = %v, want context.Canceled", err)
-			}
-			if epochs != 3 {
-				t.Fatalf("ran %d epochs after cancel, want exactly 3", epochs)
+		ctx, cancel := context.WithCancel(context.Background())
+		epochs := 0
+		p.OnEpoch(func(time.Time) {
+			epochs++
+			if epochs == 3 {
+				cancel()
 			}
 		})
-	}
+		if err := p.RunContext(ctx, at(0), at(100)); err != context.Canceled {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if epochs != 3 {
+			t.Fatalf("ran %d epochs after cancel, want exactly 3", epochs)
+		}
+	})
 }
 
-// TestConcurrentQuarantineRace hammers health and node snapshots while a
-// supervised parallel run quarantines a panicking receptor — the -race
-// exercise of the supervisor's locking (run via `make race`).
+// TestConcurrentQuarantineRace hammers health and node snapshots from a
+// second goroutine while a supervised run quarantines a panicking
+// receptor — the served shape, where a metrics scrape reads the
+// supervisor while the tenant steps. The -race exercise of the
+// supervisor's locking (run via `make race`).
 func TestConcurrentQuarantineRace(t *testing.T) {
 	const epochs = 30
 	bad := receptor.NewFaulty(
@@ -425,9 +399,6 @@ func TestConcurrentQuarantineRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewParallelScheduler(4)
-	defer s.Close()
-	p.SetScheduler(s)
 	p.EnableSupervision(SupervisorConfig{SuspectAfter: 2, BackoffBase: 3 * time.Second, JitterFrac: 0.2, Seed: 9})
 
 	stop := make(chan struct{})
@@ -447,7 +418,7 @@ func TestConcurrentQuarantineRace(t *testing.T) {
 			}
 		}
 	}()
-	err = p.RunConcurrent(at(0), at(epochs))
+	err = p.Run(at(0), at(epochs))
 	close(stop)
 	wg.Wait()
 	if err != nil {

@@ -137,7 +137,7 @@ type channelTelemetry interface {
 }
 
 // countStage accounts one flushed stage event. Called from flushEvents
-// on the scheduler goroutine; a single atomic-load gate keeps the
+// on the stepping goroutine; a single atomic-load gate keeps the
 // disabled path free.
 func (p *Processor) countStage(typ receptor.Type, stage StageKind, n int) {
 	if !p.tel.Enabled() {
@@ -240,7 +240,7 @@ func (p *Processor) beginLineage(now time.Time, batches [][]stream.Tuple) *linea
 
 // finishLineage turns the epoch's counter deltas into one five-span
 // trace per tagged reading. Runs on the epoch-driving goroutine after
-// the scheduler's step completes, so the deltas cover exactly this
+// the graph's step completes, so the deltas cover exactly this
 // epoch's injection and punctuation.
 func (p *Processor) finishLineage(ls *lineageStep) {
 	virtDelta := p.virtOut.Load() - ls.virtPre

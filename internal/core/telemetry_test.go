@@ -259,18 +259,15 @@ func TestTelemetryDisabledZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestTelemetrySnapshotRaceWithRunConcurrent hammers the unified
-// snapshot (and the lineage dump) while RunConcurrent is polling on
-// worker goroutines — run under -race via the Makefile check target.
-func TestTelemetrySnapshotRaceWithRunConcurrent(t *testing.T) {
-	dep := shelfSchedDeployment(t)
+// TestTelemetrySnapshotRaceWithRun hammers the unified snapshot (and
+// the lineage dump) from a second goroutine while Run steps — run under
+// -race via the Makefile check target.
+func TestTelemetrySnapshotRaceWithRun(t *testing.T) {
+	dep := shelfDeployment(t)
 	p, err := NewProcessor(dep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := NewParallelScheduler(4)
-	defer sched.Close()
-	p.SetScheduler(sched)
 	lin := p.EnableLineage(4, 99)
 
 	done := make(chan struct{})
@@ -301,7 +298,7 @@ func TestTelemetrySnapshotRaceWithRunConcurrent(t *testing.T) {
 	}()
 
 	start := time.Unix(0, 0).UTC()
-	if err := p.RunConcurrent(start, start.Add(20*time.Second)); err != nil {
+	if err := p.Run(start, start.Add(20*time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	close(done)

@@ -8,7 +8,7 @@ import (
 )
 
 // BatchConfig parameterises the columnar-execution experiment: the wide
-// scheduler workload run with the columnar batch path and the CQL plan
+// workload (SchedConfig) run with the columnar batch path and the CQL plan
 // optimizer enabled (the defaults) versus both disabled (row-at-a-time
 // tuples, naive plans) — same deterministic input, wall time only.
 type BatchConfig struct {
@@ -18,9 +18,8 @@ type BatchConfig struct {
 	Repeats int
 }
 
-// DefaultBatchConfig reuses the wide scheduler workload so the committed
-// BENCH_batch.json is directly comparable to BENCH_baseline.json and the
-// sched experiment.
+// DefaultBatchConfig reuses the wide workload so the committed
+// BENCH_batch.json is directly comparable to BENCH_baseline.json.
 func DefaultBatchConfig() BatchConfig {
 	return BatchConfig{Sched: DefaultSchedConfig(), Repeats: 3}
 }
@@ -80,7 +79,7 @@ func RunBatchComparison(cfg BatchConfig) (*BatchResult, error) {
 	for i, m := range modes {
 		var best time.Duration
 		for r := 0; r < cfg.Repeats; r++ {
-			n, sum, wall, err := runWideSched(cfg.Sched, core.SeqScheduler{}, m.tune)
+			n, sum, wall, err := runWideSched(cfg.Sched, m.tune)
 			if err != nil {
 				return nil, fmt.Errorf("exp: batch %s: %w", m.name, err)
 			}

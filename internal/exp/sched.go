@@ -11,11 +11,10 @@ import (
 	"esp/internal/stream"
 )
 
-// SchedConfig parameterises the scheduler comparison: a deliberately wide
-// deployment (many independent legs at the same DAG depth) where the
-// ParallelScheduler has real work to fan out. All receptor data is
-// pre-generated deterministically, so runs are byte-identical regardless
-// of scheduler or worker count.
+// SchedConfig parameterises the wide workload the batch and WAL
+// experiments build on: a deliberately wide deployment (many legs, one
+// Merge per proximity group). All receptor data is pre-generated
+// deterministically, so runs are byte-identical.
 type SchedConfig struct {
 	// Receptors is the total device count (they form Receptors/GroupSize
 	// proximity groups, each with its own Merge node).
@@ -23,18 +22,15 @@ type SchedConfig struct {
 	// GroupSize is the proximity-group width.
 	GroupSize int
 	// SamplesPerEpoch is how many readings each receptor delivers per
-	// epoch — raising it makes each leg's windowed Smooth heavier, which
-	// is what parallel execution amortises.
+	// epoch — raising it makes each leg's windowed Smooth heavier.
 	SamplesPerEpoch int
 	// Epoch and Duration size the run; SmoothWindow is the temporal
 	// granule expansion (as in §5.2.1).
 	Epoch, Duration, SmoothWindow time.Duration
-	// Workers bounds the ParallelScheduler pool (<=0 means GOMAXPROCS).
-	Workers int
 }
 
 // DefaultSchedConfig is wide enough (48 legs + 12 merges) that the
-// sequential advance loop dominates an epoch.
+// pipeline's advance loop dominates an epoch.
 func DefaultSchedConfig() SchedConfig {
 	return SchedConfig{
 		Receptors:       48,
@@ -46,7 +42,7 @@ func DefaultSchedConfig() SchedConfig {
 	}
 }
 
-// BuildWideDeployment constructs the comparison deployment: one mote-type
+// BuildWideDeployment constructs the wide deployment: one mote-type
 // pipeline (SmoothAvg + MergeAvg) over Receptors replay devices emitting
 // a deterministic sinusoid. Each call returns fresh replay receptors, so
 // build once per run.
@@ -98,17 +94,17 @@ func BuildWideDeployment(cfg SchedConfig) (*core.Deployment, error) {
 	}, nil
 }
 
-// RunWideSched drives one freshly built wide deployment under the given
-// scheduler and returns the sink-output fingerprint (tuple count and a
-// positional checksum of every emitted value) plus the wall time.
-func RunWideSched(cfg SchedConfig, sched core.Scheduler) (count int, checksum float64, wall time.Duration, err error) {
-	return runWideSched(cfg, sched, nil)
+// RunWideSched drives one freshly built wide deployment and returns the
+// sink-output fingerprint (tuple count and a positional checksum of
+// every emitted value) plus the wall time.
+func RunWideSched(cfg SchedConfig) (count int, checksum float64, wall time.Duration, err error) {
+	return runWideSched(cfg, nil)
 }
 
 // runWideSched is RunWideSched with a deployment hook: tune (when
 // non-nil) adjusts the built deployment before the processor is
 // constructed — the batch experiment uses it to pin the tuple path.
-func runWideSched(cfg SchedConfig, sched core.Scheduler, tune func(*core.Deployment)) (count int, checksum float64, wall time.Duration, err error) {
+func runWideSched(cfg SchedConfig, tune func(*core.Deployment)) (count int, checksum float64, wall time.Duration, err error) {
 	dep, err := BuildWideDeployment(cfg)
 	if err != nil {
 		return 0, 0, 0, err
@@ -120,7 +116,6 @@ func runWideSched(cfg SchedConfig, sched core.Scheduler, tune func(*core.Deploym
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	p.SetScheduler(sched)
 	p.OnType(receptor.TypeMote, func(tu stream.Tuple) {
 		count++
 		for i, v := range tu.Values {
@@ -139,50 +134,4 @@ func runWideSched(cfg SchedConfig, sched core.Scheduler, tune func(*core.Deploym
 		return 0, 0, 0, err
 	}
 	return count, checksum, time.Since(t0), nil
-}
-
-// SchedResult summarises one sequential-vs-parallel comparison.
-type SchedResult struct {
-	Receptors, Groups, Epochs, Workers int
-	SeqWall, ParWall                   time.Duration
-	// Speedup is SeqWall/ParWall (>1 means parallel won).
-	Speedup float64
-	// OutputTuples is the sink tuple count (identical across schedulers).
-	OutputTuples int
-	// Identical reports whether the two runs produced the same sink
-	// fingerprint — the determinism guarantee, re-checked here.
-	Identical bool
-}
-
-// RunSchedulerComparison times the wide deployment under SeqScheduler and
-// ParallelScheduler and cross-checks their output fingerprints.
-func RunSchedulerComparison(cfg SchedConfig) (*SchedResult, error) {
-	seqN, seqSum, seqWall, err := RunWideSched(cfg, core.SeqScheduler{})
-	if err != nil {
-		return nil, err
-	}
-	par := core.NewParallelScheduler(cfg.Workers)
-	defer par.Close()
-	parN, parSum, parWall, err := RunWideSched(cfg, par)
-	if err != nil {
-		return nil, err
-	}
-	res := &SchedResult{
-		Receptors:    cfg.Receptors,
-		Groups:       (cfg.Receptors + cfg.GroupSize - 1) / cfg.GroupSize,
-		Epochs:       int(cfg.Duration / cfg.Epoch),
-		Workers:      par.Workers(),
-		SeqWall:      seqWall,
-		ParWall:      parWall,
-		OutputTuples: seqN,
-		Identical:    seqN == parN && seqSum == parSum,
-	}
-	if parWall > 0 {
-		res.Speedup = float64(seqWall) / float64(parWall)
-	}
-	if !res.Identical {
-		return res, fmt.Errorf("exp: scheduler outputs diverged: seq %d tuples (checksum %g) vs parallel %d (%g)",
-			seqN, seqSum, parN, parSum)
-	}
-	return res, nil
 }

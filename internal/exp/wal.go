@@ -17,8 +17,7 @@ import (
 // overhead of a served wide deployment (the sched workload, served),
 // and the boot-recovery cost of a large crashed journal.
 type WALConfig struct {
-	// Sched shapes the overhead leg: the scheduler comparison's wide
-	// deployment, driven through a served tenant with journalling off
+	// Sched shapes the overhead leg: the wide deployment, driven through a served tenant with journalling off
 	// and on.
 	Sched SchedConfig
 	// RecoveryMotes, RecoveryEpochs and RecoverySamples shape the

@@ -87,7 +87,7 @@ func (p *Proxy) Close() error {
 	p.mu.Unlock()
 	err := p.ln.Close()
 	for _, l := range links {
-		l.kill()
+		l.kill(false)
 	}
 	p.wg.Wait()
 	return err
@@ -108,9 +108,7 @@ func (p *Proxy) KillAll() {
 	links := p.snapshotLocked()
 	p.mu.Unlock()
 	for _, l := range links {
-		if l.kill() {
-			p.killed.Add(1)
-		}
+		l.kill(true)
 	}
 }
 
@@ -218,17 +216,18 @@ type link struct {
 	killOnce sync.Once
 }
 
-// kill closes both sockets; reports whether this call was the one that
-// did it (for fault accounting).
-func (l *link) kill() bool {
-	did := false
+// kill closes both sockets, once. The first kill of a link by fault
+// injection (fault) counts in Stats.Killed, before the sockets close, so
+// a peer that sees its connection die already sees it counted.
+func (l *link) kill(fault bool) {
 	l.killOnce.Do(func() {
-		did = true
+		if fault {
+			l.p.killed.Add(1)
+		}
 		close(l.dead)
 		l.client.Close()
 		l.upstream.Close()
 	})
-	return did
 }
 
 // pipe forwards src→dst, honoring stalls, latency, and the direction's
@@ -261,9 +260,7 @@ func (l *link) pipe(dst, src net.Conn, budget *atomic.Int64) {
 				if keep > 0 {
 					_, _ = dst.Write(chunk[:keep])
 				}
-				if l.kill() {
-					l.p.killed.Add(1)
-				}
+				l.kill(true)
 				return
 			}
 			if _, werr := dst.Write(chunk); werr != nil {
@@ -295,7 +292,7 @@ func (l *link) waitStall() bool {
 
 // finish closes the link (idempotent) and removes it from the proxy.
 func (l *link) finish() {
-	l.kill()
+	l.kill(false)
 	l.p.mu.Lock()
 	delete(l.p.links, l)
 	l.p.mu.Unlock()

@@ -48,6 +48,23 @@ func dialEcho(t *testing.T, p *Proxy) net.Conn {
 	return c
 }
 
+// dialLive dials through the proxy and does one echo round trip, so the
+// link is registered with the proxy before the caller injects a fault:
+// the dial returns once the kernel completes the handshake, possibly
+// before the proxy has accepted and dialled upstream, and faults apply
+// only to links live at the call.
+func dialLive(t *testing.T, p *Proxy) net.Conn {
+	t.Helper()
+	c := dialEcho(t, p)
+	if _, err := c.Write([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(c, make([]byte, 1)); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestPassthrough(t *testing.T) {
 	p := proxyFor(t, echoServer(t))
 	c := dialEcho(t, p)
@@ -69,13 +86,7 @@ func TestPassthrough(t *testing.T) {
 
 func TestKillAll(t *testing.T) {
 	p := proxyFor(t, echoServer(t))
-	c := dialEcho(t, p)
-	if _, err := c.Write([]byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := io.ReadFull(c, make([]byte, 1)); err != nil {
-		t.Fatal(err)
-	}
+	c := dialLive(t, p)
 	p.KillAll()
 	c.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, err := c.Read(make([]byte, 1)); err == nil {
@@ -96,7 +107,7 @@ func TestKillAll(t *testing.T) {
 
 func TestPartitionAndHeal(t *testing.T) {
 	p := proxyFor(t, echoServer(t))
-	c := dialEcho(t, p)
+	c := dialLive(t, p)
 	p.Partition()
 	c.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, err := c.Read(make([]byte, 1)); err == nil {
@@ -120,7 +131,7 @@ func TestPartitionAndHeal(t *testing.T) {
 
 func TestTruncateTearsMidChunk(t *testing.T) {
 	p := proxyFor(t, echoServer(t))
-	c := dialEcho(t, p)
+	c := dialLive(t, p)
 	p.TruncateAll(3)
 	if _, err := c.Write([]byte("abcdefgh")); err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"time"
 
-	"esp/internal/core"
 	"esp/internal/receptor"
 	"esp/internal/stream"
 )
@@ -57,7 +56,7 @@ func runChaosOnline(c DeploymentCase, faults [][]receptor.Fault) (*depOutput, er
 	for i := range dep.Receptors {
 		dep.Receptors[i] = receptor.NewFaulty(dep.Receptors[i], chaosFaultSeed(&c, i), faults[i]...)
 	}
-	return c.runDep(dep, core.SeqScheduler{})
+	return c.runDep(dep)
 }
 
 // runChaosThinned thins every trace offline with the same (seed,
@@ -72,7 +71,7 @@ func runChaosThinned(c DeploymentCase, faults [][]receptor.Fault, seedOf func(i 
 		}
 		thin.Traces[i] = tt
 	}
-	return thin.runWith(core.SeqScheduler{}, false)
+	return thin.runWith(false)
 }
 
 // CheckChaosCase cross-checks online fault injection against offline

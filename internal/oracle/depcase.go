@@ -31,8 +31,8 @@ const (
 
 // DeploymentCase is one generated end-to-end deployment with its receptor
 // traces pre-materialised: Build always constructs replay receptors over
-// the same recorded tuples, so repeated runs (and runs under different
-// schedulers, or with hand-built stage variants) see identical inputs.
+// the same recorded tuples, so repeated runs (in different execution
+// modes, or with hand-built stage variants) see identical inputs.
 type DeploymentCase struct {
 	Seed   int64
 	Kind   int
@@ -302,25 +302,24 @@ type depOutput struct {
 	rendered string
 }
 
-// runWith builds and executes the case under one scheduler and collects
-// its observable output.
-func (c *DeploymentCase) runWith(sched core.Scheduler, hand bool) (*depOutput, error) {
+// runWith builds and executes the case and collects its observable
+// output.
+func (c *DeploymentCase) runWith(hand bool) (*depOutput, error) {
 	dep, err := c.build(hand)
 	if err != nil {
 		return nil, err
 	}
-	return c.runDep(dep, sched)
+	return c.runDep(dep)
 }
 
 // runDep executes an already-built deployment (possibly with wrapped
 // receptors — the chaos check injects fault wrappers) and collects its
 // observable output.
-func (c *DeploymentCase) runDep(dep *core.Deployment, sched core.Scheduler) (*depOutput, error) {
+func (c *DeploymentCase) runDep(dep *core.Deployment) (*depOutput, error) {
 	p, err := core.NewProcessor(dep)
 	if err != nil {
 		return nil, err
 	}
-	p.SetScheduler(sched)
 	streams := make(map[string][]stream.Tuple)
 	collect := func(label string) func(stream.Tuple) {
 		return func(t stream.Tuple) { streams[label] = append(streams[label], t) }
@@ -334,11 +333,7 @@ func (c *DeploymentCase) runDep(dep *core.Deployment, sched core.Scheduler) (*de
 	if c.Kind == depVirt {
 		p.OnVirtualize(collect("virtualize"))
 	}
-	err = p.Run(epoch0, epoch0.Add(time.Duration(c.Epochs)*c.Epoch))
-	if ps, ok := sched.(*core.ParallelScheduler); ok {
-		ps.Close()
-	}
-	if err != nil {
+	if err := p.Run(epoch0, epoch0.Add(time.Duration(c.Epochs)*c.Epoch)); err != nil {
 		return nil, err
 	}
 	return &depOutput{sink: streams[sinkLabel], rendered: renderStreams(streams)}, nil
@@ -359,14 +354,10 @@ func renderStreams(streams map[string][]stream.Tuple) string {
 	return sb.String()
 }
 
-// CheckDeploymentCase cross-checks one deployment: SeqScheduler against
-// ParallelScheduler at 1 and 4 workers byte-level on every observable
-// stream, and (mote family) the sink stream against the straight-line
-// five-stage reference within float tolerance.
+// CheckDeploymentCase cross-checks one deployment of the mote family:
+// its sink stream against the straight-line five-stage reference within
+// float tolerance. Other families have no reference and pass.
 func CheckDeploymentCase(c DeploymentCase) *Divergence {
-	if d := checkSchedulers(c); d != nil {
-		return minimizeDeployment(c, d, checkSchedulers)
-	}
 	if c.Kind == depMote {
 		if d := checkPipelineVsRef(c); d != nil {
 			return minimizeDeployment(c, d, checkPipelineVsRef)
@@ -375,28 +366,8 @@ func CheckDeploymentCase(c DeploymentCase) *Divergence {
 	return nil
 }
 
-func checkSchedulers(c DeploymentCase) *Divergence {
-	fail := func(diff string) *Divergence {
-		return &Divergence{Check: "seq-vs-parallel", Seed: c.Seed, Case: c.String(), Diff: diff}
-	}
-	seq, err := c.runWith(core.SeqScheduler{}, false)
-	if err != nil {
-		return fail(fmt.Sprintf("seq error: %v", err))
-	}
-	for _, workers := range []int{1, 4} {
-		par, err := c.runWith(core.NewParallelScheduler(workers), false)
-		if err != nil {
-			return fail(fmt.Sprintf("parallel(%d) error: %v", workers, err))
-		}
-		if par.rendered != seq.rendered {
-			return fail(fmt.Sprintf("workers=%d: %s", workers, firstDiff(seq.rendered, par.rendered)))
-		}
-	}
-	return nil
-}
-
 func checkPipelineVsRef(c DeploymentCase) *Divergence {
-	got, err := c.runWith(core.SeqScheduler{}, false)
+	got, err := c.runWith(false)
 	if err != nil {
 		return &Divergence{Check: "pipeline-vs-reference", Seed: c.Seed, Case: c.String(),
 			Diff: fmt.Sprintf("error: %v", err)}
@@ -417,11 +388,11 @@ func CheckPlanCase(c DeploymentCase) *Divergence {
 		fail := func(diff string) *Divergence {
 			return &Divergence{Check: "cql-vs-handbuilt", Seed: t.Seed, Case: t.String(), Diff: diff}
 		}
-		planned, err := t.runWith(core.SeqScheduler{}, false)
+		planned, err := t.runWith(false)
 		if err != nil {
 			return fail(fmt.Sprintf("cql error: %v", err))
 		}
-		handmade, err := t.runWith(core.SeqScheduler{}, true)
+		handmade, err := t.runWith(true)
 		if err != nil {
 			return fail(fmt.Sprintf("hand error: %v", err))
 		}
@@ -438,14 +409,14 @@ func CheckPlanCase(c DeploymentCase) *Divergence {
 
 // runToggled builds the CQL-compiled variant of the case, applies adjust
 // to the built deployment (the execution-mode toggles: DisableBatching,
-// DisableOptimizer), and runs it under the sequential scheduler.
+// DisableOptimizer), and runs it.
 func (c *DeploymentCase) runToggled(adjust func(*core.Deployment)) (*depOutput, error) {
 	dep, err := c.build(false)
 	if err != nil {
 		return nil, err
 	}
 	adjust(dep)
-	return c.runDep(dep, core.SeqScheduler{})
+	return c.runDep(dep)
 }
 
 // CheckBatchCase runs the same deployment with columnar batch exchange on
@@ -457,7 +428,7 @@ func CheckBatchCase(c DeploymentCase) *Divergence {
 		fail := func(diff string) *Divergence {
 			return &Divergence{Check: "batched-vs-tuple", Seed: t.Seed, Case: t.String(), Diff: diff}
 		}
-		batched, err := t.runWith(core.SeqScheduler{}, false)
+		batched, err := t.runWith(false)
 		if err != nil {
 			return fail(fmt.Sprintf("batched error: %v", err))
 		}
@@ -486,7 +457,7 @@ func CheckOptCase(c DeploymentCase) *Divergence {
 		fail := func(diff string) *Divergence {
 			return &Divergence{Check: "optimized-vs-unoptimized", Seed: t.Seed, Case: t.String(), Diff: diff}
 		}
-		optimized, err := t.runWith(core.SeqScheduler{}, false)
+		optimized, err := t.runWith(false)
 		if err != nil {
 			return fail(fmt.Sprintf("optimized error: %v", err))
 		}

@@ -13,9 +13,6 @@
 //   - window-vs-reference: WindowAgg against a two-pass reference that
 //     recomputes every window from the documented contract, within float
 //     tolerance.
-//   - seq-vs-parallel: a deployment under SeqScheduler against
-//     ParallelScheduler(1) and ParallelScheduler(4), byte-level on sink
-//     and tap streams.
 //   - pipeline-vs-reference: a restricted deployment family against a
 //     straight-line interpreter of the five-stage contract, within float
 //     tolerance.
@@ -30,8 +27,7 @@
 //   - partitioned-vs-per-leg: a deployment whose Point/Smooth and Merge
 //     stages are built once per receptor type (the default where the
 //     plans allow) against the same deployment with one node per leg and
-//     per group (Deployment.DisablePartitioning), byte-level, under both
-//     schedulers.
+//     per group (Deployment.DisablePartitioning), byte-level.
 //   - chaos-drop-commute: online drop-fault injection (receptor.Faulty)
 //     against offline trace thinning (receptor.ThinTrace), byte-level.
 //   - recovery-replay-commute: a served deployment killed at a random
@@ -59,10 +55,10 @@ type Config struct {
 	// from it, so any reported counterexample is reproducible from the
 	// (check, seed) pair alone.
 	Seed int64
-	// WindowCases, SchedCases, PlanCases, BatchCases, OptCases,
+	// WindowCases, RefCases, PlanCases, BatchCases, OptCases,
 	// PartitionCases, ChaosCases and RecoveryCases size the case
 	// generators, one per check family.
-	WindowCases, SchedCases, PlanCases, BatchCases, OptCases, PartitionCases, ChaosCases, RecoveryCases int
+	WindowCases, RefCases, PlanCases, BatchCases, OptCases, PartitionCases, ChaosCases, RecoveryCases int
 	// RefStdev, when non-nil, replaces the reference implementation's
 	// standard-deviation finisher. The harness's own tests use it to
 	// inject a deliberately wrong aggregate (the legacy catastrophically
@@ -74,7 +70,7 @@ type Config struct {
 // DefaultConfig sizes a run for `make check`: every check exercised,
 // ≥ 50 cases total, a few seconds of wall clock.
 func DefaultConfig() Config {
-	return Config{Seed: 1, WindowCases: 40, SchedCases: 8, PlanCases: 10, BatchCases: 8, OptCases: 8, PartitionCases: 24, ChaosCases: 8, RecoveryCases: 6}
+	return Config{Seed: 1, WindowCases: 40, RefCases: 8, PlanCases: 10, BatchCases: 8, OptCases: 8, PartitionCases: 24, ChaosCases: 8, RecoveryCases: 6}
 }
 
 // Divergence is one caught disagreement between two execution paths of

@@ -16,7 +16,7 @@ import (
 // once per receptor type (the default wherever a stage's plan allows it)
 // against the same deployment with one node per leg and per proximity
 // group (Deployment.DisablePartitioning), byte-level on every sink and
-// tap stream, under both schedulers, with no batch fallback the per-leg
+// tap stream, with no batch fallback the per-leg
 // graph does not also count. The family is built to stress what the
 // collapse could get wrong: receptors listed in an order that is not
 // their sorted order and interleaved across two types, receptors in
@@ -254,9 +254,9 @@ type partitionRun struct {
 	collapsed map[string]bool
 }
 
-// run executes the case under one scheduler, supervised on a virtual
-// clock so quarantine is deterministic.
-func (c *PartitionCase) run(sched core.Scheduler, perLeg bool) (*partitionRun, error) {
+// run executes the case, supervised on a virtual clock so quarantine is
+// deterministic.
+func (c *PartitionCase) run(perLeg bool) (*partitionRun, error) {
 	dep, err := c.build()
 	if err != nil {
 		return nil, err
@@ -266,7 +266,6 @@ func (c *PartitionCase) run(sched core.Scheduler, perLeg bool) (*partitionRun, e
 	if err != nil {
 		return nil, err
 	}
-	p.SetScheduler(sched)
 	p.EnableSupervision(core.SupervisorConfig{VirtualTime: true})
 	streams := make(map[string][]stream.Tuple)
 	collect := func(label string) func(stream.Tuple) {
@@ -278,11 +277,7 @@ func (c *PartitionCase) run(sched core.Scheduler, perLeg bool) (*partitionRun, e
 			p.Tap(typ, st, collect(fmt.Sprintf("tap/%s/%s", typ, st)))
 		}
 	}
-	err = p.Run(epoch0, epoch0.Add(time.Duration(c.Epochs)*c.Epoch))
-	if ps, ok := sched.(*core.ParallelScheduler); ok {
-		ps.Close()
-	}
-	if err != nil {
+	if err := p.Run(epoch0, epoch0.Add(time.Duration(c.Epochs)*c.Epoch)); err != nil {
 		return nil, err
 	}
 	out := &partitionRun{rendered: renderStreams(streams), collapsed: make(map[string]bool)}
@@ -301,27 +296,22 @@ func CheckPartitionCase(c PartitionCase) *Divergence {
 	fail := func(diff string) *Divergence {
 		return &Divergence{Check: "partitioned-vs-per-leg", Seed: c.Seed, Case: c.String(), Diff: diff}
 	}
-	perLeg, err := c.run(core.SeqScheduler{}, true)
+	perLeg, err := c.run(true)
 	if err != nil {
 		return fail(fmt.Sprintf("per-leg error: %v", err))
 	}
 	if len(perLeg.collapsed) != 0 {
 		return fail(fmt.Sprintf("DisablePartitioning still built collapsed nodes: %v", perLeg.collapsed))
 	}
-	for name, sched := range map[string]core.Scheduler{
-		"seq":      core.SeqScheduler{},
-		"parallel": core.NewParallelScheduler(4),
-	} {
-		part, err := c.run(sched, false)
-		if err != nil {
-			return fail(fmt.Sprintf("partitioned (%s) error: %v", name, err))
-		}
-		if part.rendered != perLeg.rendered {
-			return fail(fmt.Sprintf("partitioned (%s) vs per-leg: %s", name, firstDiff(part.rendered, perLeg.rendered)))
-		}
-		if part.fallbacks > perLeg.fallbacks {
-			return fail(fmt.Sprintf("partitioned (%s) counted %d batch fallbacks, per-leg %d", name, part.fallbacks, perLeg.fallbacks))
-		}
+	part, err := c.run(false)
+	if err != nil {
+		return fail(fmt.Sprintf("partitioned error: %v", err))
+	}
+	if part.rendered != perLeg.rendered {
+		return fail(fmt.Sprintf("partitioned vs per-leg: %s", firstDiff(part.rendered, perLeg.rendered)))
+	}
+	if part.fallbacks > perLeg.fallbacks {
+		return fail(fmt.Sprintf("partitioned counted %d batch fallbacks, per-leg %d", part.fallbacks, perLeg.fallbacks))
 	}
 	return nil
 }

@@ -1,10 +1,6 @@
 package oracle
 
-import (
-	"testing"
-
-	"esp/internal/core"
-)
+import "testing"
 
 // TestPartitionCasesCoverTheMixes checks the partition family generates
 // what it is for: deployments where legs and merges both collapse, where
@@ -17,7 +13,7 @@ func TestPartitionCasesCoverTheMixes(t *testing.T) {
 	multiGroup, quarantined, subSlide := 0, 0, 0
 	for i := 0; i < cfg.PartitionCases; i++ {
 		c := GenPartitionCase(cfg.Seed + int64(i))
-		r, err := c.run(core.SeqScheduler{}, false)
+		r, err := c.run(false)
 		if err != nil {
 			t.Fatalf("seed %d: %v", c.Seed, err)
 		}

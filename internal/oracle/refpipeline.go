@@ -11,7 +11,7 @@ import (
 // recomputes every epoch's sink output from the recorded traces and the
 // documented stage contracts — annotate, Point filter, per-leg Smooth
 // window average, per-group Merge window aggregate — sharing no code
-// with the Processor, its dataflow graph, or its schedulers. Timestamps
+// with the Processor or its dataflow graph. Timestamps
 // in the traces coincide with epoch boundaries and every window width is
 // a multiple of the epoch, so the reference never faces the late-arrival
 // rule (refwindow.go covers that dimension independently).

@@ -1,8 +1,8 @@
 package oracle
 
 // Run executes the full differential suite: WindowCases window-algebra
-// programs (pane-vs-naive, window-vs-reference), SchedCases deployments
-// (seq-vs-parallel, pipeline-vs-reference), PlanCases paired
+// programs (pane-vs-naive, window-vs-reference), RefCases deployments
+// (pipeline-vs-reference), PlanCases paired
 // deployments (cql-vs-handbuilt), BatchCases execution-mode pairs
 // (batched-vs-tuple), OptCases planning-mode pairs
 // (optimized-vs-unoptimized), PartitionCases build-mode pairs
@@ -20,7 +20,7 @@ func Run(cfg Config) (int, *Divergence) {
 			return cases, d
 		}
 	}
-	for i := 0; i < cfg.SchedCases; i++ {
+	for i := 0; i < cfg.RefCases; i++ {
 		cases++
 		if d := CheckDeploymentCase(GenDeploymentCase(cfg.Seed + int64(i))); d != nil {
 			return cases, d

@@ -21,7 +21,6 @@ type Client struct {
 	br   *bufio.Reader
 	bw   *bufio.Writer
 	seq  uint64
-	json bool // encode publishes with the JSON debug fallback
 
 	// rbuf holds the last frame read (a reply's payload aliases it until
 	// the next read) and wbuf the payload being encoded: reused across
@@ -63,10 +62,6 @@ func (c *Client) Close() error { return c.conn.Close() }
 type ServerError struct{ Msg string }
 
 func (e *ServerError) Error() string { return "server: " + e.Msg }
-
-// SetJSON switches publish encoding to the JSON debug fallback (the
-// server accepts both; used to exercise the fallback path).
-func (c *Client) SetJSON(on bool) { c.json = on }
 
 // SetTracer attaches a span recorder: sampled publishes and advances
 // mint a trace ID, send it on the wire, and record client.publish /
@@ -163,14 +158,8 @@ func (c *Client) PublishSeq(receptorID string, seq uint64, ts []stream.Tuple) (w
 		m.TraceID = uint64(id)
 		t0 = time.Now()
 	}
-	var f wire.Frame
-	if c.json {
-		f = m.FrameJSON()
-	} else {
-		c.wbuf = m.AppendPayload(c.wbuf[:0])
-		f = wire.Frame{Type: wire.TypePublish, Payload: c.wbuf}
-	}
-	r, err := c.roundTrip(f)
+	c.wbuf = m.AppendPayload(c.wbuf[:0])
+	r, err := c.roundTrip(wire.Frame{Type: wire.TypePublish, Payload: c.wbuf})
 	if m.TraceID != 0 {
 		c.tracer.Record(telemetry.SpanRecord{
 			TraceID: telemetry.TraceID(m.TraceID), Name: "client.publish",

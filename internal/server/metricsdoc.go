@@ -69,21 +69,21 @@ var metricHelp = map[string]string{
 	"conn_idle_kills":     "connections killed by the idle read deadline",
 
 	// Per-tenant serving counters.
-	"serve_tuples_in":           "tuples accepted by Publish",
-	"serve_publish_frames":      "Publish frames applied",
-	"serve_epochs":              "epoch boundaries committed",
-	"serve_data_frames":         "Data frames flushed to subscribers",
-	"serve_subscribers_kicked":  "subscribers dropped for not draining their buffer",
-	"serve_reconnects":          "session re-attaches (Hello on an existing session ID)",
-	"serve_resumes":             "subscriber resumes that replayed a backlog",
-	"serve_dedup_drops":         "publishes dropped as session-replay duplicates",
-	"serve_backlog":             "tuples buffered in receptor channels awaiting the next epoch",
-	"rpc_publish":               "Publish frames received (before dedup)",
-	"rpc_advance":               "Advance frames received",
-	"rpc_subscribe":             "Subscribe frames received",
-	"rpc_stats":                 "Stats frames received",
-	"rpc_publish_ns":            "server-side Publish handling latency",
-	"rpc_advance_ns":            "server-side Advance handling latency (includes the commit barrier)",
+	"serve_tuples_in":          "tuples accepted by Publish",
+	"serve_publish_frames":     "Publish frames applied",
+	"serve_epochs":             "epoch boundaries committed",
+	"serve_data_frames":        "Data frames flushed to subscribers",
+	"serve_subscribers_kicked": "subscribers dropped for not draining their buffer",
+	"serve_reconnects":         "session re-attaches (Hello on an existing session ID)",
+	"serve_resumes":            "subscriber resumes that replayed a backlog",
+	"serve_dedup_drops":        "publishes dropped as session-replay duplicates",
+	"serve_backlog":            "tuples buffered in receptor channels awaiting the next epoch",
+	"rpc_publish":              "Publish frames received (before dedup)",
+	"rpc_advance":              "Advance frames received",
+	"rpc_subscribe":            "Subscribe frames received",
+	"rpc_stats":                "Stats frames received",
+	"rpc_publish_ns":           "server-side Publish handling latency",
+	"rpc_advance_ns":           "server-side Advance handling latency (includes the commit barrier)",
 
 	// Pipeline stage accounting (per receptor type).
 	"stage.<type>/Point.tuples":     "tuples released by the Point stage",
@@ -95,15 +95,15 @@ var metricHelp = map[string]string{
 
 	// Dataflow node internals (label = "<kind> <instance>", kinds:
 	// leg, merge, arbitrate, output, virtualize).
-	"node.<label>.tuples_in":        "tuples entering the node",
-	"node.<label>.tuples_out":       "tuples the node released downstream",
-	"node.<label>.batches_in":       "columnar batches entering the node",
-	"node.<label>.batch_rows":       "rows carried by those batches",
-	"node.<label>.batch_fallbacks":  "batches that fell back to row-at-a-time execution",
-	"node.<label>.panics":           "operator panics caught by the supervisor",
-	"node.<label>.advance_ns":       "node punctuation (epoch advance) latency",
-	"node.<label>.quarantined":      "1 while the node is quarantined by the health FSM",
-	"node.<label>.window_panes":     "window panes currently held by the node's operators",
+	"node.<label>.tuples_in":         "tuples entering the node",
+	"node.<label>.tuples_out":        "tuples the node released downstream",
+	"node.<label>.batches_in":        "columnar batches entering the node",
+	"node.<label>.batch_rows":        "rows carried by those batches",
+	"node.<label>.batch_fallbacks":   "batches that fell back to row-at-a-time execution",
+	"node.<label>.panics":            "operator panics caught by the supervisor",
+	"node.<label>.advance_ns":        "node punctuation (epoch advance) latency",
+	"node.<label>.quarantined":       "1 while the node is quarantined by the health FSM",
+	"node.<label>.window_panes":      "window panes currently held by the node's operators",
 	"node.<label>.window_late_drops": "tuples dropped for arriving later than the window allows",
 
 	// Bounded channel receptors.
@@ -111,15 +111,15 @@ var metricHelp = map[string]string{
 	"receptor.<id>.channel_dropped": "readings evicted from the receptor channel (overflow)",
 
 	// Write-ahead log.
-	"wal_publish_records":  "publish records appended to the journal",
-	"wal_publish_tuples":   "tuples carried by those records",
-	"wal_commits":          "epoch commit barriers appended",
-	"wal_bytes":            "bytes appended to the journal",
-	"wal_output_records":   "output records appended to the archive",
-	"wal_rotations":        "segment rotations",
-	"wal_fsync_ns":         "commit-barrier fsync latency",
-	"wal_replayed_epochs":  "epochs replayed from the journal at boot",
-	"wal_replayed_tuples":  "tuples replayed from the journal at boot",
+	"wal_publish_records": "publish records appended to the journal",
+	"wal_publish_tuples":  "tuples carried by those records",
+	"wal_commits":         "epoch commit barriers appended",
+	"wal_bytes":           "bytes appended to the journal",
+	"wal_output_records":  "output records appended to the archive",
+	"wal_rotations":       "segment rotations",
+	"wal_fsync_ns":        "commit-barrier fsync latency",
+	"wal_replayed_epochs": "epochs replayed from the journal at boot",
+	"wal_replayed_tuples": "tuples replayed from the journal at boot",
 }
 
 // familiesFromRegistry walks one registry snapshot into sorted

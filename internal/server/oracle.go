@@ -26,11 +26,10 @@ func NewFingerprint() *Fingerprint {
 	return &Fingerprint{h: h.Sum64()}
 }
 
-// Add folds one Data frame into the digest (canonical binary encoding,
-// so a frame that traveled as JSON hashes identically). The trace ID is
-// zeroed first: tracing annotates frames, it must never change what the
-// pipeline computed, so a traced run fingerprints identically to an
-// untraced one.
+// Add folds one Data frame into the digest by its canonical binary
+// encoding. The trace ID is zeroed first: tracing annotates frames, it
+// must never change what the pipeline computed, so a traced run
+// fingerprints identically to an untraced one.
 func (fp *Fingerprint) Add(d wire.Data) {
 	d.TraceID = 0
 	b := d.Frame().Payload

@@ -452,6 +452,22 @@ func (s *Server) handle(conn net.Conn) {
 				}
 				continue
 			}
+			// Register as a pushing handler so Shutdown lets this
+			// connection flush before closing sockets — before the ack,
+			// so a Shutdown the client issues after Subscribe returns
+			// always waits for it. If a shutdown is already past its
+			// pushWG.Wait, skip registration (Add would race the Wait) —
+			// the stream is cut short, which is fine for a subscription
+			// that raced the shutdown itself.
+			s.mu.Lock()
+			tracked := !s.draining
+			if tracked {
+				s.pushWG.Add(1)
+			}
+			s.mu.Unlock()
+			if tracked {
+				defer s.pushWG.Done()
+			}
 			// The ack's Epoch is the attach point: the client's resume
 			// cursor until the first Data frame lands.
 			if !replyAck(wire.Ack{Epoch: sub.Attached()}) {
@@ -469,21 +485,7 @@ func (s *Server) handle(conn net.Conn) {
 					return
 				}
 			}
-			// Register as a pushing handler so Shutdown lets this
-			// connection flush before closing sockets. If a shutdown is
-			// already past its pushWG.Wait, skip registration (Add would
-			// race the Wait) — the stream is cut short, which is fine for
-			// a subscription that raced the shutdown itself.
-			s.mu.Lock()
-			tracked := !s.draining
-			if tracked {
-				s.pushWG.Add(1)
-			}
-			s.mu.Unlock()
 			s.push(conn, br, bw, t, sub)
-			if tracked {
-				s.pushWG.Done()
-			}
 			return
 
 		case wire.TypeStats:
@@ -495,7 +497,7 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			tenant.rpcStats.Add(1)
 			b, _ := json.Marshal(tenant.Stats())
-			if !reply(wire.Frame{Type: wire.TypeStats, Flags: wire.FlagJSON, Payload: b}) {
+			if !reply(wire.Frame{Type: wire.TypeStats, Payload: b}) {
 				return
 			}
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -123,45 +124,60 @@ func TestServerLifecycle(t *testing.T) {
 	}
 }
 
-func TestServerJSONPublish(t *testing.T) {
+// TestServerRejectsCorruptFrames: a frame that sets the reserved flags
+// byte is corrupt like one with bad magic or an oversize length — the
+// server drops the connection without a reply and without applying the
+// frame, and keeps serving everyone else.
+func TestServerRejectsCorruptFrames(t *testing.T) {
 	s := startServer(t, false)
-	bin := dial(t, s)
-	if err := bin.Create("bin", testSpec("")); err != nil {
+	ctl := dial(t, s)
+	if err := ctl.Create("c", testSpec("")); err != nil {
 		t.Fatal(err)
 	}
-	jsn := dial(t, s)
-	if err := jsn.Create("jsn", testSpec("")); err != nil {
+	pub := wire.Publish{Receptor: "reader0", Seq: 1, Tuples: []stream.Tuple{read(0.2, "X", true)}}.Frame()
+	oversize := wire.AppendFrame(nil, pub)
+	oversize[4], oversize[5], oversize[6], oversize[7] = 0xff, 0xff, 0xff, 0xff
+	withFlags := func(frame []byte, flags uint8) []byte {
+		frame[3] = flags // the reserved header byte
+		return frame
+	}
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"bad magic", append([]byte{0xde, 0xad}, wire.AppendFrame(nil, pub)[2:]...)},
+		{"oversize", oversize},
+		{"flags 0x01", withFlags(wire.AppendFrame(nil, pub), 0x01)},
+		{"flags 0x80", withFlags(wire.AppendFrame(nil, pub), 0x80)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", s.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := wire.WriteFrame(conn, wire.Hello{Tenant: "c", Role: "publish"}.Frame()); err != nil {
+				t.Fatal(err)
+			}
+			if f, err := wire.ReadFrame(conn); err != nil || f.Type != wire.TypeAck {
+				t.Fatalf("hello reply = %v, %v", f.Type, err)
+			}
+			if _, err := conn.Write(tc.frame); err != nil {
+				t.Fatal(err)
+			}
+			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if f, err := wire.ReadFrame(conn); err != io.EOF {
+				t.Fatalf("after a corrupt frame: read %v, %v; want the server to close the connection", f.Type, err)
+			}
+		})
+	}
+	// None of the corrupt publishes reached the channel.
+	ack, err := ctl.Publish("reader1", []stream.Tuple{read(0.3, "Y", true)})
+	if err != nil {
 		t.Fatal(err)
 	}
-	jsn.SetJSON(true)
-
-	in := []stream.Tuple{read(0.2, "X", true), read(0.7, "Y", true)}
-	run := func(c *Client, tenant string) wire.Data {
-		sub := dial(t, s)
-		if err := sub.Subscribe(tenant, "rfid"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Publish("reader0", in); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Advance(at(1)); err != nil {
-			t.Fatal(err)
-		}
-		d, _, done, err := sub.Next()
-		if err != nil || done {
-			t.Fatalf("Next: %v (done=%v)", err, done)
-		}
-		return d
-	}
-	db, dj := run(bin, "bin"), run(jsn, "jsn")
-
-	// The JSON fallback must be semantically identical to binary framing:
-	// identical canonical re-encodings.
-	fb, fj := NewFingerprint(), NewFingerprint()
-	fb.Add(db)
-	fj.Add(dj)
-	if fb.Sum() != fj.Sum() {
-		t.Errorf("JSON publish diverged from binary: %v vs %v", fj, fb)
+	if st, err := ctl.Stats(); err != nil || st.TuplesIn != 1 {
+		t.Fatalf("stats = %+v, %v (ack %+v); want only the one valid tuple in", st, err, ack)
 	}
 }
 

@@ -171,15 +171,15 @@ func newTenant(name string, ps *parsedSpec, cfg tenantConfig) (*Tenant, error) {
 	}
 	proc.EnableTelemetry()
 	t := &Tenant{
-		name:    name,
-		epoch:   ps.dep.Epoch,
-		proc:    proc,
-		chans:   ps.chans,
-		quota:   ps.quota,
-		reg:     proc.Telemetry(),
-		cmds:    make(chan func()),
-		quit:    make(chan struct{}),
-		done:    make(chan struct{}),
+		name:     name,
+		epoch:    ps.dep.Epoch,
+		proc:     proc,
+		chans:    ps.chans,
+		quota:    ps.quota,
+		reg:      proc.Telemetry(),
+		cmds:     make(chan func()),
+		quit:     make(chan struct{}),
+		done:     make(chan struct{}),
 		last:     ps.start,
 		pending:  make(map[string][]stream.Tuple),
 		sessions: make(map[string]*session),
@@ -418,9 +418,9 @@ func (t *Tenant) publish(sess string, m wire.Publish) (wire.Ack, error) {
 
 // apply journals one publish and appends it to its channel.
 //
-// m.Raw, when set (a binary frame's validated tuple bytes, aliasing the
+// m.Raw, when set (a decoded frame's validated tuple bytes, aliasing the
 // connection's read buffer), is journalled verbatim; without it — an
-// in-process Publish, a JSON-fallback frame — the log encodes m.Tuples.
+// in-process Publish — the log encodes m.Tuples.
 // The record is the same either way, and m.Raw is not retained.
 //
 // A non-zero m.TraceID records a server.apply span (journal + channel

@@ -6,10 +6,9 @@
 //
 //	magic(2) | type(1) | flags(1) | length(4, big-endian) | payload
 //
-// The payload encoding is binary by default; setting FlagJSON marks the
-// payload as the JSON encoding of the same message, which keeps the
-// protocol debuggable with nothing but netcat and eyeballs. Decoders
-// accept both forms for every message type.
+// The payload is the message's binary encoding. No flag bits are
+// defined: the flags byte is reserved and must be zero, and both frame
+// decoders reject a frame that sets any.
 package wire
 
 import (
@@ -31,9 +30,6 @@ const (
 	// letting a length field drive an allocation.
 	MaxPayload = 8 << 20
 )
-
-// FlagJSON marks the payload as JSON-encoded (debug fallback).
-const FlagJSON = 0x01
 
 // Type identifies a frame's message type.
 type Type uint8
@@ -94,15 +90,12 @@ func (t Type) String() string {
 	}
 }
 
-// Frame is one decoded protocol frame.
+// Frame is one decoded protocol frame. Its header's flags byte is
+// always zero on the wire.
 type Frame struct {
 	Type    Type
-	Flags   uint8
 	Payload []byte
 }
-
-// JSON reports whether the payload is the JSON fallback encoding.
-func (f Frame) JSON() bool { return f.Flags&FlagJSON != 0 }
 
 // Frame decoding errors.
 var (
@@ -112,41 +105,57 @@ var (
 	ErrTooLarge = errors.New("wire: frame payload exceeds limit")
 	// ErrShort means the buffer ends before the announced payload does.
 	ErrShort = errors.New("wire: short frame")
+	// ErrFlags means the reserved flags byte is not zero.
+	ErrFlags = errors.New("wire: reserved frame flags set")
 )
 
 // AppendFrame appends the encoded frame to dst and returns the extended
 // slice.
 func AppendFrame(dst []byte, f Frame) []byte {
-	return append(appendHeader(dst, f.Type, f.Flags, len(f.Payload)), f.Payload...)
+	return append(appendHeader(dst, f.Type, len(f.Payload)), f.Payload...)
 }
 
 // DecodeFrame decodes one frame from the front of b, returning the frame
 // and the number of bytes consumed. The returned payload aliases b.
 // Error messages carry the offending header fields (magic bytes, or the
-// type byte and announced length) so a corrupted-in-transit stream is
-// diagnosable from the error alone.
+// type byte with the flags byte or announced length) so a
+// corrupted-in-transit stream is diagnosable from the error alone.
 func DecodeFrame(b []byte) (Frame, int, error) {
 	if len(b) < HeaderLen {
 		return Frame{}, 0, ErrShort
 	}
-	if b[0] != magic0 || b[1] != magic1 {
-		return Frame{}, 0, fmt.Errorf("%w: got %#02x %#02x, want %#02x %#02x", ErrBadMagic, b[0], b[1], magic0, magic1)
-	}
-	n := binary.BigEndian.Uint32(b[4:8])
-	if n > MaxPayload {
-		return Frame{}, 0, fmt.Errorf("%w: frame type %s (0x%02x) announces %d bytes (limit %d)",
-			ErrTooLarge, Type(b[2]), b[2], n, MaxPayload)
+	typ, n, err := parseHeader(b[:HeaderLen])
+	if err != nil {
+		return Frame{}, 0, err
 	}
 	end := HeaderLen + int(n)
 	if len(b) < end {
 		return Frame{}, 0, ErrShort
 	}
-	return Frame{Type: Type(b[2]), Flags: b[3], Payload: b[HeaderLen:end:end]}, end, nil
+	return Frame{Type: typ, Payload: b[HeaderLen:end:end]}, end, nil
+}
+
+// parseHeader validates a frame header — magic, reserved flags, payload
+// limit — and returns the frame type and payload length.
+func parseHeader(hdr []byte) (Type, uint32, error) {
+	if hdr[0] != magic0 || hdr[1] != magic1 {
+		return 0, 0, fmt.Errorf("%w: got %#02x %#02x, want %#02x %#02x", ErrBadMagic, hdr[0], hdr[1], magic0, magic1)
+	}
+	typ := Type(hdr[2])
+	if hdr[3] != 0 {
+		return 0, 0, fmt.Errorf("%w: frame type %s (0x%02x) carries flags %#02x", ErrFlags, typ, hdr[2], hdr[3])
+	}
+	n := binary.BigEndian.Uint32(hdr[4:8])
+	if n > MaxPayload {
+		return 0, 0, fmt.Errorf("%w: frame type %s (0x%02x) announces %d bytes (limit %d)",
+			ErrTooLarge, typ, hdr[2], n, MaxPayload)
+	}
+	return typ, n, nil
 }
 
 // appendHeader appends the frame header for a payload of n bytes.
-func appendHeader(dst []byte, t Type, flags uint8, n int) []byte {
-	dst = append(dst, magic0, magic1, byte(t), flags)
+func appendHeader(dst []byte, t Type, n int) []byte {
+	dst = append(dst, magic0, magic1, byte(t), 0)
 	return binary.BigEndian.AppendUint32(dst, uint32(n))
 }
 
@@ -169,7 +178,7 @@ func WriteFrame(w io.Writer, f Frame) error {
 			}
 		}
 		if n <= bw.Available() {
-			b := appendHeader(bw.AvailableBuffer(), f.Type, f.Flags, len(f.Payload))
+			b := appendHeader(bw.AvailableBuffer(), f.Type, len(f.Payload))
 			_, err := bw.Write(append(b, f.Payload...))
 			return err
 		}
@@ -199,9 +208,9 @@ const maxRetainedBuf = 1 << 20
 //
 // The header is validated before the payload is read, so a corrupt
 // length cannot drive a huge allocation. Error messages carry the
-// offending header fields (magic bytes, or the type byte and announced
-// length) so a corrupted-in-transit stream — a truncating proxy, a
-// half-written frame — is diagnosable from the error alone.
+// offending header fields (as DecodeFrame's do) so a corrupted-in-transit
+// stream — a truncating proxy, a half-written frame — is diagnosable
+// from the error alone.
 func ReadFrameBuf(r io.Reader, buf *[]byte) (Frame, error) {
 	b := *buf
 	if cap(b) < HeaderLen {
@@ -215,14 +224,9 @@ func ReadFrameBuf(r io.Reader, buf *[]byte) (Frame, error) {
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return Frame{}, err
 	}
-	if hdr[0] != magic0 || hdr[1] != magic1 {
-		return Frame{}, fmt.Errorf("%w: got %#02x %#02x, want %#02x %#02x", ErrBadMagic, hdr[0], hdr[1], magic0, magic1)
-	}
-	typ, flags := Type(hdr[2]), hdr[3]
-	n := binary.BigEndian.Uint32(hdr[4:8])
-	if n > MaxPayload {
-		return Frame{}, fmt.Errorf("%w: frame type %s (0x%02x) announces %d bytes (limit %d)",
-			ErrTooLarge, typ, byte(typ), n, MaxPayload)
+	typ, n, err := parseHeader(hdr)
+	if err != nil {
+		return Frame{}, err
 	}
 	if int(n) > cap(b) {
 		b = make([]byte, n)
@@ -238,5 +242,5 @@ func ReadFrameBuf(r io.Reader, buf *[]byte) (Frame, error) {
 		return Frame{}, fmt.Errorf("wire: frame type %s (0x%02x) truncated mid-payload (want %d bytes): %w",
 			typ, byte(typ), n, err)
 	}
-	return Frame{Type: typ, Flags: flags, Payload: payload}, nil
+	return Frame{Type: typ, Payload: payload}, nil
 }

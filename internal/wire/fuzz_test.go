@@ -9,24 +9,27 @@ import (
 // decoder, then every message decoder that matches the frame type. The
 // invariants are (1) no panic on any input, (2) a frame that decodes
 // re-encodes to the exact same bytes it was decoded from (the codec is
-// canonical for framed bytes), (3) any message that decodes from a
-// binary frame round-trips through its encoder and decodes equal, and
+// canonical for framed bytes), (3) any message that decodes
+// round-trips through its encoder and decodes equal, and
 // (4) a publish payload that decodes carries tuple bytes equal to
 // AppendTuples of what they decoded to — the property that lets the
-// WAL journal those bytes verbatim. The committed corpus holds a
-// non-canonical bool byte and a padded varint, both of which must be
-// rejected rather than decoded.
+// WAL journal those bytes verbatim. A frame that sets the reserved flags
+// byte never decodes (invariant 2 pins that: every encoder writes zero).
+// The committed corpus holds a non-canonical bool byte and a padded
+// varint, both of which must be rejected rather than decoded, and
+// flagged frames next to flag-zeroed copies of them.
 func FuzzFrame(f *testing.F) {
-	// Well-formed frames of every type, a JSON fallback, and garbage.
+	// Well-formed frames of every type, flagged frames, and garbage.
 	seed := func(fr Frame) { f.Add(AppendFrame(nil, fr)) }
+	seedFlagged := func(fr Frame, flags uint8) { f.Add(withFlags(AppendFrame(nil, fr), flags)) }
 	seed(Hello{Tenant: "lab", Role: "publish"}.Frame())
 	seed(Create{Tenant: "lab", Spec: []byte(`{"epoch":"1s"}`)}.Frame())
 	seed(Publish{Receptor: "m0", Seq: 1, Tuples: sampleTuples()}.Frame())
-	seed(Publish{Receptor: "m0", Seq: 2, Tuples: sampleTuples()}.FrameJSON())
+	seedFlagged(Publish{Receptor: "m0", Seq: 2, Tuples: sampleTuples()}.Frame(), 0x01)
 	seed(Advance{Seq: 3, Now: 1_000_000_000}.Frame())
 	seed(Subscribe{Tenant: "lab", Stream: "rfid"}.Frame())
 	seed(Data{Stream: "rfid", Epoch: 2_000_000_000, Tuples: sampleTuples()}.Frame())
-	seed(Data{Stream: "rfid", Epoch: 2, Tuples: nil}.FrameJSON())
+	seedFlagged(Data{Stream: "rfid", Epoch: 2, Tuples: nil}.Frame(), 0x80)
 	seed(Ack{Seq: 4, Pending: 1, Cap: 2, Dropped: 3}.Frame())
 	seed(ErrorMsg{Msg: "boom"}.Frame())
 	seed(Drain{FinalEpoch: 5}.Frame())
@@ -45,7 +48,7 @@ func FuzzFrame(f *testing.F) {
 		}
 		switch fr.Type {
 		case TypeHello:
-			if m, err := DecodeHello(fr); err == nil && !fr.JSON() {
+			if m, err := DecodeHello(fr); err == nil {
 				reDecode(t, m.Frame(), m, func(f2 Frame) (any, error) { m2, e := DecodeHello(f2); return m2, e })
 			}
 		case TypeCreate:
@@ -53,7 +56,7 @@ func FuzzFrame(f *testing.F) {
 				return
 			}
 		case TypePublish:
-			if m, err := DecodePublish(fr); err == nil && !fr.JSON() {
+			if m, err := DecodePublish(fr); err == nil {
 				if re := AppendTuples(nil, m.Tuples); !bytes.Equal(re, m.Raw) {
 					t.Fatalf("publish tuple bytes are not canonical:\nin  %x\nout %x", m.Raw, re)
 				}
@@ -70,13 +73,13 @@ func FuzzFrame(f *testing.F) {
 				}
 			}
 		case TypeAdvance:
-			if m, err := DecodeAdvance(fr); err == nil && !fr.JSON() {
+			if m, err := DecodeAdvance(fr); err == nil {
 				if m2, err := DecodeAdvance(m.Frame()); err != nil || m2 != m {
 					t.Fatalf("advance round trip: %+v vs %+v (%v)", m, m2, err)
 				}
 			}
 		case TypeSubscribe:
-			if m, err := DecodeSubscribe(fr); err == nil && !fr.JSON() {
+			if m, err := DecodeSubscribe(fr); err == nil {
 				if m2, err := DecodeSubscribe(m.Frame()); err != nil || m2 != m {
 					t.Fatalf("subscribe round trip: %+v vs %+v (%v)", m, m2, err)
 				}
@@ -84,7 +87,7 @@ func FuzzFrame(f *testing.F) {
 		case TypeData:
 			_, _ = DecodeData(fr)
 		case TypeAck:
-			if m, err := DecodeAck(fr); err == nil && !fr.JSON() {
+			if m, err := DecodeAck(fr); err == nil {
 				if m2, err := DecodeAck(m.Frame()); err != nil || m2 != m {
 					t.Fatalf("ack round trip: %+v vs %+v (%v)", m, m2, err)
 				}

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 
 	"esp/internal/stream"
@@ -12,15 +11,6 @@ import (
 func appendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
-}
-
-// decodeJSON decodes a JSON-fallback payload. Kept apart from the binary
-// decoders so their result does not escape through json.Unmarshal —
-// a binary Ack or Advance decodes without allocating.
-func decodeJSON[T any](p []byte) (T, error) {
-	var m T
-	err := json.Unmarshal(p, &m)
-	return m, err
 }
 
 // decodeString decodes a length-prefixed string from the front of b.
@@ -48,10 +38,10 @@ func decodeString(b []byte) (string, int, error) {
 // applied seq (Ack.Seq) and the tenant's last committed epoch
 // (Ack.Epoch) — everything the client needs to decide what to re-send.
 type Hello struct {
-	Tenant      string `json:"tenant"`
-	Role        string `json:"role"`
-	Session     string `json:"session,omitempty"`
-	ResumeEpoch int64  `json:"resume_epoch,omitempty"`
+	Tenant      string
+	Role        string
+	Session     string
+	ResumeEpoch int64
 }
 
 // Frame encodes the message binary. The session fields are appended
@@ -67,14 +57,11 @@ func (m Hello) Frame() Frame {
 	return Frame{Type: TypeHello, Payload: p}
 }
 
-// DecodeHello decodes a hello frame (binary or JSON). The session
-// fields are optional trailing bytes: frames from pre-session encoders
-// decode with an empty session.
+// DecodeHello decodes a hello frame. The session fields are optional
+// trailing bytes: frames from pre-session encoders decode with an empty
+// session.
 func DecodeHello(f Frame) (Hello, error) {
 	var m Hello
-	if f.JSON() {
-		return decodeJSON[Hello](f.Payload)
-	}
 	t, w, err := decodeString(f.Payload)
 	if err != nil {
 		return m, err
@@ -102,10 +89,10 @@ func DecodeHello(f Frame) (Hello, error) {
 // document (the same JSON espclean -config accepts, minus receptors —
 // the server provisions receptor channels from the Receptors list).
 type Create struct {
-	Tenant string `json:"tenant"`
+	Tenant string
 	// Spec is the deployment spec JSON (epoch, schema, groups,
 	// pipelines, virtualize).
-	Spec []byte `json:"spec"`
+	Spec []byte
 }
 
 // Frame encodes the message binary.
@@ -116,12 +103,9 @@ func (m Create) Frame() Frame {
 	return Frame{Type: TypeCreate, Payload: p}
 }
 
-// DecodeCreate decodes a create frame (binary or JSON).
+// DecodeCreate decodes a create frame.
 func DecodeCreate(f Frame) (Create, error) {
 	var m Create
-	if f.JSON() {
-		return decodeJSON[Create](f.Payload)
-	}
 	t, w, err := decodeString(f.Payload)
 	if err != nil {
 		return m, err
@@ -147,24 +131,17 @@ func DecodeCreate(f Frame) (Create, error) {
 // is observable end to end. It rides as optional trailing bytes, so an
 // untraced publish is byte-compatible with the pre-tracing protocol.
 //
-// Raw is set by DecodePublish on a binary frame: the validated counted
-// tuple list Tuples was decoded from. It aliases the frame payload, and
-// because the decoder accepts only canonical bytes it equals
-// AppendTuples(nil, Tuples) — which is what lets the serving layer
-// journal it verbatim. Encoders ignore it.
+// Raw is set by DecodePublish: the validated counted tuple list Tuples
+// was decoded from. It aliases the frame payload, and because the
+// decoder accepts only canonical bytes it equals AppendTuples(nil,
+// Tuples) — which is what lets the serving layer journal it verbatim.
+// Encoders ignore it.
 type Publish struct {
-	Receptor string         `json:"receptor"`
-	Seq      uint64         `json:"seq"`
-	Tuples   []stream.Tuple `json:"-"`
-	TraceID  uint64         `json:"trace_id,omitempty"`
-	Raw      []byte         `json:"-"`
-}
-
-type jsonPublish struct {
-	Receptor string      `json:"receptor"`
-	Seq      uint64      `json:"seq"`
-	Tuples   []jsonTuple `json:"tuples"`
-	TraceID  uint64      `json:"trace_id,omitempty"`
+	Receptor string
+	Seq      uint64
+	Tuples   []stream.Tuple
+	TraceID  uint64
+	Raw      []byte
 }
 
 // Frame encodes the message binary. TraceID is appended only when set.
@@ -184,27 +161,10 @@ func (m Publish) AppendPayload(dst []byte) []byte {
 	return dst
 }
 
-// FrameJSON encodes the message with the JSON debug fallback.
-func (m Publish) FrameJSON() Frame {
-	b, _ := json.Marshal(jsonPublish{Receptor: m.Receptor, Seq: m.Seq, Tuples: toJSONTuples(m.Tuples), TraceID: m.TraceID})
-	return Frame{Type: TypePublish, Flags: FlagJSON, Payload: b}
-}
-
-// DecodePublish decodes a publish frame (binary or JSON). A binary
-// frame's Raw aliases f.Payload; Tuples do not.
+// DecodePublish decodes a publish frame. Raw aliases f.Payload; Tuples
+// do not.
 func DecodePublish(f Frame) (Publish, error) {
 	var m Publish
-	if f.JSON() {
-		var jm jsonPublish
-		if err := json.Unmarshal(f.Payload, &jm); err != nil {
-			return m, err
-		}
-		ts, err := fromJSONTuples(jm.Tuples)
-		if err != nil {
-			return m, err
-		}
-		return Publish{Receptor: jm.Receptor, Seq: jm.Seq, Tuples: ts, TraceID: jm.TraceID}, nil
-	}
 	r, w, err := decodeString(f.Payload)
 	if err != nil {
 		return m, err
@@ -234,9 +194,9 @@ func DecodePublish(f Frame) (Publish, error) {
 // (see Publish.TraceID). Optional trailing bytes, byte-compatible with
 // the pre-tracing protocol when unset.
 type Advance struct {
-	Seq     uint64 `json:"seq"`
-	Now     int64  `json:"now"`
-	TraceID uint64 `json:"trace_id,omitempty"`
+	Seq     uint64
+	Now     int64
+	TraceID uint64
 }
 
 // Frame encodes the message binary. TraceID is appended only when set.
@@ -249,12 +209,9 @@ func (m Advance) Frame() Frame {
 	return Frame{Type: TypeAdvance, Payload: p}
 }
 
-// DecodeAdvance decodes an advance frame (binary or JSON).
+// DecodeAdvance decodes an advance frame.
 func DecodeAdvance(f Frame) (Advance, error) {
 	var m Advance
-	if f.JSON() {
-		return decodeJSON[Advance](f.Payload)
-	}
 	if len(f.Payload) < 16 {
 		return m, ErrShort
 	}
@@ -276,9 +233,9 @@ func DecodeAdvance(f Frame) (Advance, error) {
 // segments — before attaching the connection live, so a reconnecting
 // subscriber sees every epoch exactly once.
 type Subscribe struct {
-	Tenant    string `json:"tenant"`
-	Stream    string `json:"stream"`
-	FromEpoch int64  `json:"from_epoch,omitempty"`
+	Tenant    string
+	Stream    string
+	FromEpoch int64
 }
 
 // Frame encodes the message binary. FromEpoch is appended only when
@@ -293,12 +250,9 @@ func (m Subscribe) Frame() Frame {
 	return Frame{Type: TypeSubscribe, Payload: p}
 }
 
-// DecodeSubscribe decodes a subscribe frame (binary or JSON).
+// DecodeSubscribe decodes a subscribe frame.
 func DecodeSubscribe(f Frame) (Subscribe, error) {
 	var m Subscribe
-	if f.JSON() {
-		return decodeJSON[Subscribe](f.Payload)
-	}
 	t, w, err := decodeString(f.Payload)
 	if err != nil {
 		return m, err
@@ -327,17 +281,10 @@ func DecodeSubscribe(f Frame) (Subscribe, error) {
 // delivery. Optional trailing bytes, byte-compatible with the
 // pre-tracing protocol when unset.
 type Data struct {
-	Stream  string         `json:"stream"`
-	Epoch   int64          `json:"epoch"`
-	Tuples  []stream.Tuple `json:"-"`
-	TraceID uint64         `json:"trace_id,omitempty"`
-}
-
-type jsonData struct {
-	Stream  string      `json:"stream"`
-	Epoch   int64       `json:"epoch"`
-	Tuples  []jsonTuple `json:"tuples"`
-	TraceID uint64      `json:"trace_id,omitempty"`
+	Stream  string
+	Epoch   int64
+	Tuples  []stream.Tuple
+	TraceID uint64
 }
 
 // Frame encodes the message binary. TraceID is appended only when set.
@@ -351,26 +298,9 @@ func (m Data) Frame() Frame {
 	return Frame{Type: TypeData, Payload: p}
 }
 
-// FrameJSON encodes the message with the JSON debug fallback.
-func (m Data) FrameJSON() Frame {
-	b, _ := json.Marshal(jsonData{Stream: m.Stream, Epoch: m.Epoch, Tuples: toJSONTuples(m.Tuples), TraceID: m.TraceID})
-	return Frame{Type: TypeData, Flags: FlagJSON, Payload: b}
-}
-
-// DecodeData decodes a data frame (binary or JSON).
+// DecodeData decodes a data frame.
 func DecodeData(f Frame) (Data, error) {
 	var m Data
-	if f.JSON() {
-		var jm jsonData
-		if err := json.Unmarshal(f.Payload, &jm); err != nil {
-			return m, err
-		}
-		ts, err := fromJSONTuples(jm.Tuples)
-		if err != nil {
-			return m, err
-		}
-		return Data{Stream: jm.Stream, Epoch: jm.Epoch, Tuples: ts, TraceID: jm.TraceID}, nil
-	}
 	s, w, err := decodeString(f.Payload)
 	if err != nil {
 		return m, err
@@ -401,11 +331,11 @@ func DecodeData(f Frame) (Data, error) {
 // session's last applied publish seq), which is how a reconnecting
 // client learns what the server already has.
 type Ack struct {
-	Seq     uint64 `json:"seq"`
-	Pending int64  `json:"pending"`
-	Cap     int64  `json:"cap"`
-	Dropped int64  `json:"dropped"`
-	Epoch   int64  `json:"epoch,omitempty"`
+	Seq     uint64
+	Pending int64
+	Cap     int64
+	Dropped int64
+	Epoch   int64
 }
 
 // Frame encodes the message binary. Epoch is appended only when set,
@@ -426,12 +356,9 @@ func (m Ack) AppendPayload(dst []byte) []byte {
 	return dst
 }
 
-// DecodeAck decodes an ack frame (binary or JSON).
+// DecodeAck decodes an ack frame.
 func DecodeAck(f Frame) (Ack, error) {
 	var m Ack
-	if f.JSON() {
-		return decodeJSON[Ack](f.Payload)
-	}
 	if len(f.Payload) < 32 {
 		return m, ErrShort
 	}
@@ -447,7 +374,7 @@ func DecodeAck(f Frame) (Ack, error) {
 
 // ErrorMsg reports a failure to the peer.
 type ErrorMsg struct {
-	Msg string `json:"msg"`
+	Msg string
 }
 
 // Frame encodes the message binary.
@@ -455,12 +382,9 @@ func (m ErrorMsg) Frame() Frame {
 	return Frame{Type: TypeError, Payload: appendString(nil, m.Msg)}
 }
 
-// DecodeError decodes an error frame (binary or JSON).
+// DecodeError decodes an error frame.
 func DecodeError(f Frame) (ErrorMsg, error) {
 	var m ErrorMsg
-	if f.JSON() {
-		return decodeJSON[ErrorMsg](f.Payload)
-	}
 	s, _, err := decodeString(f.Payload)
 	if err != nil {
 		return m, err
@@ -477,7 +401,7 @@ func Errorf(format string, args ...any) Frame {
 // Drain tells a subscriber the stream is complete; the payload carries
 // the final committed epoch (UnixNano), 0 if none.
 type Drain struct {
-	FinalEpoch int64 `json:"final_epoch"`
+	FinalEpoch int64
 }
 
 // Frame encodes the message binary.
@@ -485,12 +409,9 @@ func (m Drain) Frame() Frame {
 	return Frame{Type: TypeDrain, Payload: binary.BigEndian.AppendUint64(nil, uint64(m.FinalEpoch))}
 }
 
-// DecodeDrain decodes a drain frame (binary or JSON).
+// DecodeDrain decodes a drain frame.
 func DecodeDrain(f Frame) (Drain, error) {
 	var m Drain
-	if f.JSON() {
-		return decodeJSON[Drain](f.Payload)
-	}
 	if len(f.Payload) < 8 {
 		return m, ErrShort
 	}

@@ -199,86 +199,3 @@ func DecodeTuples(b []byte) ([]stream.Tuple, int, error) {
 	}
 	return out, off, nil
 }
-
-// jsonValue is the JSON-fallback form of a stream.Value.
-type jsonValue struct {
-	Kind string  `json:"kind"`
-	B    bool    `json:"b,omitempty"`
-	I    int64   `json:"i,omitempty"`
-	F    float64 `json:"f,omitempty"`
-	S    string  `json:"s,omitempty"`
-	T    int64   `json:"t,omitempty"` // UnixNano
-}
-
-func toJSONValue(v stream.Value) jsonValue {
-	switch v.Kind() {
-	case stream.KindBool:
-		return jsonValue{Kind: "bool", B: v.AsBool()}
-	case stream.KindInt:
-		return jsonValue{Kind: "int", I: v.AsInt()}
-	case stream.KindFloat:
-		return jsonValue{Kind: "float", F: v.AsFloat()}
-	case stream.KindString:
-		return jsonValue{Kind: "string", S: v.AsString()}
-	case stream.KindTime:
-		return jsonValue{Kind: "time", T: v.AsTime().UnixNano()}
-	default:
-		return jsonValue{Kind: "null"}
-	}
-}
-
-func (jv jsonValue) value() (stream.Value, error) {
-	switch jv.Kind {
-	case "null", "":
-		return stream.Null(), nil
-	case "bool":
-		return stream.Bool(jv.B), nil
-	case "int":
-		return stream.Int(jv.I), nil
-	case "float":
-		return stream.Float(jv.F), nil
-	case "string":
-		return stream.String(jv.S), nil
-	case "time":
-		return stream.Time(time.Unix(0, jv.T).UTC()), nil
-	default:
-		return stream.Value{}, fmt.Errorf("wire: unknown json value kind %q", jv.Kind)
-	}
-}
-
-// jsonTuple is the JSON-fallback form of a stream.Tuple.
-type jsonTuple struct {
-	Ts     int64       `json:"ts"` // UnixNano
-	Values []jsonValue `json:"values"`
-}
-
-func toJSONTuples(ts []stream.Tuple) []jsonTuple {
-	out := make([]jsonTuple, len(ts))
-	for i, t := range ts {
-		jt := jsonTuple{Ts: t.Ts.UnixNano(), Values: make([]jsonValue, len(t.Values))}
-		for j, v := range t.Values {
-			jt.Values[j] = toJSONValue(v)
-		}
-		out[i] = jt
-	}
-	return out
-}
-
-func fromJSONTuples(jts []jsonTuple) ([]stream.Tuple, error) {
-	out := make([]stream.Tuple, len(jts))
-	for i, jt := range jts {
-		t := stream.Tuple{Ts: time.Unix(0, jt.Ts).UTC()}
-		if len(jt.Values) > 0 {
-			t.Values = make([]stream.Value, len(jt.Values))
-			for j, jv := range jt.Values {
-				v, err := jv.value()
-				if err != nil {
-					return nil, err
-				}
-				t.Values[j] = v
-			}
-		}
-		out[i] = t
-	}
-	return out, nil
-}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"io"
 	"math"
@@ -31,7 +30,7 @@ func sampleTuples() []stream.Tuple {
 func TestFrameRoundTrip(t *testing.T) {
 	frames := []Frame{
 		{Type: TypeHello, Payload: []byte("x")},
-		{Type: TypeData, Flags: FlagJSON, Payload: []byte(`{"stream":"rfid"}`)},
+		{Type: TypeData, Payload: []byte("rfid")},
 		{Type: TypeDrain, Payload: nil},
 	}
 	var buf bytes.Buffer
@@ -45,7 +44,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if got.Type != want.Type || got.Flags != want.Flags || !bytes.Equal(got.Payload, want.Payload) {
+		if got.Type != want.Type || !bytes.Equal(got.Payload, want.Payload) {
 			t.Fatalf("frame %d: got %+v want %+v", i, got, want)
 		}
 	}
@@ -97,6 +96,44 @@ func TestFrameErrorDiagnostics(t *testing.T) {
 	}
 }
 
+// TestFrameRejectsFlags pins the reserved flags byte: a frame that sets
+// any flag bit fails both frame decoders with ErrFlags, and the error
+// names the frame type and the offending byte.
+func TestFrameRejectsFlags(t *testing.T) {
+	pub := Publish{Receptor: "m0", Seq: 1, Tuples: sampleTuples()}.Frame()
+	for _, tc := range []struct {
+		flags uint8
+		want  string
+	}{
+		{0x01, "0x01"}, // the retired JSON bit
+		{0x30, "0x30"},
+		{0x80, "0x80"},
+		{0xff, "0xff"},
+	} {
+		b := withFlags(AppendFrame(nil, pub), tc.flags)
+		_, _, derr := DecodeFrame(b)
+		var buf []byte
+		_, rerr := ReadFrameBuf(bytes.NewReader(b), &buf)
+		for name, err := range map[string]error{"DecodeFrame": derr, "ReadFrameBuf": rerr} {
+			if !errors.Is(err, ErrFlags) {
+				t.Errorf("flags %#02x: %s error = %v, want ErrFlags", tc.flags, name, err)
+				continue
+			}
+			for _, w := range []string{"publish", tc.want} {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("flags %#02x: %s error %q missing %q", tc.flags, name, err, w)
+				}
+			}
+		}
+	}
+}
+
+// withFlags sets an encoded frame's reserved flags byte.
+func withFlags(frame []byte, flags uint8) []byte {
+	frame[3] = flags
+	return frame
+}
+
 func TestTupleRoundTrip(t *testing.T) {
 	want := sampleTuples()
 	enc := AppendTuples(nil, want)
@@ -118,25 +155,17 @@ func TestTupleRoundTrip(t *testing.T) {
 
 func TestMessageRoundTrips(t *testing.T) {
 	pub := Publish{Receptor: "mote-17", Seq: 9, Tuples: sampleTuples()}
-	for name, f := range map[string]Frame{"binary": pub.Frame(), "json": pub.FrameJSON()} {
-		got, err := DecodePublish(f)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got.Receptor != pub.Receptor || got.Seq != pub.Seq || !reflect.DeepEqual(got.Tuples, pub.Tuples) {
-			t.Fatalf("%s publish mismatch: %+v", name, got)
-		}
+	if got, err := DecodePublish(pub.Frame()); err != nil {
+		t.Fatal(err)
+	} else if got.Receptor != pub.Receptor || got.Seq != pub.Seq || !reflect.DeepEqual(got.Tuples, pub.Tuples) {
+		t.Fatalf("publish mismatch: %+v", got)
 	}
 
 	data := Data{Stream: "rfid", Epoch: 123456789, Tuples: sampleTuples()}
-	for name, f := range map[string]Frame{"binary": data.Frame(), "json": data.FrameJSON()} {
-		got, err := DecodeData(f)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got.Stream != data.Stream || got.Epoch != data.Epoch || !reflect.DeepEqual(got.Tuples, data.Tuples) {
-			t.Fatalf("%s data mismatch: %+v", name, got)
-		}
+	if got, err := DecodeData(data.Frame()); err != nil {
+		t.Fatal(err)
+	} else if got.Stream != data.Stream || got.Epoch != data.Epoch || !reflect.DeepEqual(got.Tuples, data.Tuples) {
+		t.Fatalf("data mismatch: %+v", got)
 	}
 
 	hello := Hello{Tenant: "lab", Role: "publish"}
@@ -170,23 +199,13 @@ func TestMessageRoundTrips(t *testing.T) {
 }
 
 // TestSessionFieldRoundTrips covers the resume extensions: session
-// hellos, resume subscribes, and epoch-carrying acks must round-trip in
-// both encodings, and the session-less forms must stay byte-compatible
-// with the pre-session protocol.
+// hellos, resume subscribes, and epoch-carrying acks must round-trip,
+// and the session-less forms must stay byte-compatible with the
+// pre-session protocol.
 func TestSessionFieldRoundTrips(t *testing.T) {
-	jsonFrame := func(m any, typ Type) Frame {
-		b, err := json.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return Frame{Type: typ, Flags: FlagJSON, Payload: b}
-	}
-
 	hello := Hello{Tenant: "lab", Role: "pub", Session: "pub-7", ResumeEpoch: 123456789}
-	for name, f := range map[string]Frame{"binary": hello.Frame(), "json": jsonFrame(hello, TypeHello)} {
-		if got, err := DecodeHello(f); err != nil || got != hello {
-			t.Fatalf("%s session hello: %+v, %v", name, got, err)
-		}
+	if got, err := DecodeHello(hello.Frame()); err != nil || got != hello {
+		t.Fatalf("session hello: %+v, %v", got, err)
 	}
 	// A session-less hello encodes exactly as the pre-session protocol
 	// did: two strings, nothing trailing.
@@ -198,17 +217,13 @@ func TestSessionFieldRoundTrips(t *testing.T) {
 	}
 
 	sub := Subscribe{Tenant: "lab", Stream: "mote", FromEpoch: 42}
-	for name, f := range map[string]Frame{"binary": sub.Frame(), "json": jsonFrame(sub, TypeSubscribe)} {
-		if got, err := DecodeSubscribe(f); err != nil || got != sub {
-			t.Fatalf("%s resume subscribe: %+v, %v", name, got, err)
-		}
+	if got, err := DecodeSubscribe(sub.Frame()); err != nil || got != sub {
+		t.Fatalf("resume subscribe: %+v, %v", got, err)
 	}
 
 	ack := Ack{Seq: 9, Pending: 1, Cap: 2, Dropped: 3, Epoch: 77}
-	for name, f := range map[string]Frame{"binary": ack.Frame(), "json": jsonFrame(ack, TypeAck)} {
-		if got, err := DecodeAck(f); err != nil || got != ack {
-			t.Fatalf("%s epoch ack: %+v, %v", name, got, err)
-		}
+	if got, err := DecodeAck(ack.Frame()); err != nil || got != ack {
+		t.Fatalf("epoch ack: %+v, %v", got, err)
 	}
 	// Truncated session suffix is an error, not a silent fallback.
 	f := hello.Frame()
@@ -351,19 +366,15 @@ func TestWriteFrameContiguous(t *testing.T) {
 }
 
 // TestTraceFieldRoundTrips covers the trace-context extension: publish,
-// advance, and data frames carry an optional trailing trace ID in both
-// encodings, and the untraced forms stay byte-compatible with the
+// advance, and data frames carry an optional trailing trace ID, and the
+// untraced forms stay byte-compatible with the
 // pre-tracing protocol.
 func TestTraceFieldRoundTrips(t *testing.T) {
 	pub := Publish{Receptor: "mote-17", Seq: 9, Tuples: sampleTuples(), TraceID: 0xfeedface}
-	for name, f := range map[string]Frame{"binary": pub.Frame(), "json": pub.FrameJSON()} {
-		got, err := DecodePublish(f)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got.TraceID != pub.TraceID || got.Receptor != pub.Receptor || got.Seq != pub.Seq || !reflect.DeepEqual(got.Tuples, pub.Tuples) {
-			t.Fatalf("%s traced publish mismatch: %+v", name, got)
-		}
+	if got, err := DecodePublish(pub.Frame()); err != nil {
+		t.Fatal(err)
+	} else if got.TraceID != pub.TraceID || got.Receptor != pub.Receptor || got.Seq != pub.Seq || !reflect.DeepEqual(got.Tuples, pub.Tuples) {
+		t.Fatalf("traced publish mismatch: %+v", got)
 	}
 
 	adv := Advance{Seq: 3, Now: 123456789, TraceID: 0xabc}
@@ -372,14 +383,10 @@ func TestTraceFieldRoundTrips(t *testing.T) {
 	}
 
 	data := Data{Stream: "rfid", Epoch: 777, Tuples: sampleTuples(), TraceID: 0xdead}
-	for name, f := range map[string]Frame{"binary": data.Frame(), "json": data.FrameJSON()} {
-		got, err := DecodeData(f)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got.TraceID != data.TraceID || got.Stream != data.Stream || got.Epoch != data.Epoch || !reflect.DeepEqual(got.Tuples, data.Tuples) {
-			t.Fatalf("%s traced data mismatch: %+v", name, got)
-		}
+	if got, err := DecodeData(data.Frame()); err != nil {
+		t.Fatal(err)
+	} else if got.TraceID != data.TraceID || got.Stream != data.Stream || got.Epoch != data.Epoch || !reflect.DeepEqual(got.Tuples, data.Tuples) {
+		t.Fatalf("traced data mismatch: %+v", got)
 	}
 
 	// Untraced frames encode exactly as the pre-tracing protocol did:
