@@ -103,6 +103,7 @@ fuzz-smoke:
 	$(GO) test ./internal/oracle -run '^$$' -fuzz FuzzWindowAlgebra -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzSegment -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/receptor -run '^$$' -fuzz FuzzChannel -fuzztime $(FUZZTIME)
 
 ## fuzz: longer fuzz rounds (override FUZZTIME, e.g. make fuzz FUZZTIME=10m).
 fuzz:

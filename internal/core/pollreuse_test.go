@@ -12,29 +12,38 @@ import (
 	"esp/internal/wire"
 )
 
-// freshPoll wraps a receptor so every Poll result is a private copy —
-// the reference for a receptor that reuses its Poll slice.
+// freshPoll wraps a receptor so every Poll result is a private copy,
+// values included — the reference for a receptor that reuses its Poll
+// slice and value storage.
 type freshPoll struct{ receptor.Receptor }
 
 func (f freshPoll) Poll(now time.Time) []stream.Tuple {
-	return append([]stream.Tuple(nil), f.Receptor.Poll(now)...)
+	var out []stream.Tuple
+	for _, tu := range f.Receptor.Poll(now) {
+		out = append(out, tu.Clone())
+	}
+	return out
 }
 
 // TestChannelPollReuseIdentical audits the Receptor.Poll ownership rule
 // against the pipeline: a Processor over Channels, whose Poll hands back
-// the same backing array every epoch, must produce byte-identical sink
-// output to one whose receptors return fresh slices — over many epochs
-// of reuse, with readings held back across polls, on the row-at-a-time
-// path (DisableBatching) as well as the columnar one. A stage that kept
-// a polled slice past its Step would see it overwritten by the next
-// Poll and diverge.
+// the same result slice every epoch and values in slabs the channel
+// recycles, must produce byte-identical sink output to one whose
+// receptors return private copies — over many epochs of reuse, with
+// readings held back across polls, in all eight execution
+// configurations, and with a delay-fault wrapper (receptor.Faulty)
+// between the channel and the processor, which must copy the readings
+// it holds past the channel's next Poll. A stage that kept a polled
+// tuple or its values past its Step would see them overwritten and
+// diverge.
 func TestChannelPollReuseIdentical(t *testing.T) {
 	schema := stream.MustSchema(
 		stream.Field{Name: "mote_id", Kind: stream.KindString},
 		stream.Field{Name: "temp", Kind: stream.KindFloat},
 	)
 	const motes, epochs = 6, 200
-	run := func(noBatch, fresh bool) []byte {
+	type config struct{ noBatch, noOpt, noPart, delay bool }
+	run := func(cfg config, fresh bool) []byte {
 		chans := make([]*receptor.Channel, motes)
 		recs := make([]receptor.Receptor, motes)
 		groups := receptor.NewGroups()
@@ -45,6 +54,11 @@ func TestChannelPollReuseIdentical(t *testing.T) {
 				recs[m] = chans[m]
 				if fresh {
 					recs[m] = freshPoll{chans[m]}
+				}
+				if cfg.delay {
+					recs[m] = receptor.NewFaulty(recs[m], int64(m), receptor.Fault{
+						Kind: receptor.FaultDelay, Delay: 2 * time.Second, From: at(20), Until: at(120),
+					})
 				}
 				members = append(members, chans[m].ID())
 			}
@@ -62,7 +76,9 @@ func TestChannelPollReuseIdentical(t *testing.T) {
 					Merge:  MergeAvg("temp", time.Second),
 				},
 			},
-			DisableBatching: noBatch,
+			DisableBatching:     cfg.noBatch,
+			DisableOptimizer:    cfg.noOpt,
+			DisablePartitioning: cfg.noPart,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -90,14 +106,19 @@ func TestChannelPollReuseIdentical(t *testing.T) {
 		}
 		return sink
 	}
-	for _, noBatch := range []bool{true, false} {
-		reused, fresh := run(noBatch, false), run(noBatch, true)
+	var cfgs []config
+	for i := 0; i < 8; i++ {
+		cfgs = append(cfgs, config{noBatch: i&1 != 0, noOpt: i&2 != 0, noPart: i&4 != 0})
+	}
+	cfgs = append(cfgs, config{delay: true}, config{noBatch: true, delay: true})
+	for _, cfg := range cfgs {
+		reused, fresh := run(cfg, false), run(cfg, true)
 		if len(fresh) == 0 {
-			t.Fatalf("DisableBatching=%v: no output", noBatch)
+			t.Fatalf("%+v: no output", cfg)
 		}
 		if !bytes.Equal(reused, fresh) {
-			t.Fatalf("DisableBatching=%v: sink output over reused Poll slices (%d B) differs from fresh ones (%d B)",
-				noBatch, len(reused), len(fresh))
+			t.Fatalf("%+v: sink output over reused Poll results (%d B) differs from private copies (%d B)",
+				cfg, len(reused), len(fresh))
 		}
 	}
 }

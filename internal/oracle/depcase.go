@@ -160,7 +160,10 @@ func genShelfCase(c *DeploymentCase, r *rand.Rand) {
 func recordTrace(rec receptor.Receptor, epoch time.Duration, epochs int) []stream.Tuple {
 	var trace []stream.Tuple
 	for k := 1; k <= epochs; k++ {
-		trace = append(trace, rec.Poll(epoch0.Add(time.Duration(k)*epoch))...)
+		// Poll results are borrowed until the next Poll: keep copies.
+		for _, tu := range rec.Poll(epoch0.Add(time.Duration(k) * epoch)) {
+			trace = append(trace, tu.Clone())
+		}
 	}
 	return trace
 }

@@ -214,7 +214,10 @@ func TestChannelPollReuse(t *testing.T) {
 }
 
 // TestChannelCycleAllocs is the channel's allocation gate: a warm
-// PublishAll + Poll cycle allocates nothing.
+// PublishAll + Poll cycle allocates nothing, copying the values in
+// included — the caller overwrites its batch every cycle, as a
+// connection's decoder overwrites its scratch, and every Poll still
+// returns what was published.
 func TestChannelCycleAllocs(t *testing.T) {
 	c := NewChannel("ch", TypeMote, chanSchema)
 	batch := make([]stream.Tuple, 64)
@@ -222,15 +225,160 @@ func TestChannelCycleAllocs(t *testing.T) {
 		batch[i] = chanTuple(i)
 	}
 	now := time.Unix(1<<20, 0).UTC()
+	round := int64(0)
 	cycle := func() {
+		round++
+		for i := range batch {
+			batch[i].Values[0] = stream.Int(round)
+		}
 		c.PublishAll(batch)
-		if n := len(c.Poll(now)); n != len(batch) {
-			t.Fatalf("polled %d of %d", n, len(batch))
+		for i := range batch {
+			batch[i].Values[0] = stream.Int(-1) // reuse after the call returns
+		}
+		out := c.Poll(now)
+		if len(out) != len(batch) {
+			t.Fatalf("polled %d of %d", len(out), len(batch))
+		}
+		if got := out[len(out)-1].Values[0].AsInt(); got != round {
+			t.Fatalf("round %d polled value %d", round, got)
 		}
 	}
-	cycle() // warm: size the backlog and the result slice
+	cycle() // warm: size the backlog, the slabs and the result slice
+	cycle()
 	if n := testing.AllocsPerRun(100, cycle); n != 0 {
 		t.Errorf("PublishAll + Poll: %v allocs, want 0", n)
+	}
+}
+
+// TestChannelPublishCopies: the channel owns what it buffers — a caller
+// that reuses its tuples' Values after PublishAll (or Publish) does not
+// change what Poll returns.
+func TestChannelPublishCopies(t *testing.T) {
+	c := NewChannel("ch", TypeMote, chanSchema)
+	vals := []stream.Value{stream.Int(1), stream.Int(2), stream.Int(3)}
+	batch := []stream.Tuple{
+		{Ts: time.Unix(1, 0).UTC(), Values: vals[0:1]},
+		{Ts: time.Unix(2, 0).UTC(), Values: vals[1:2]},
+	}
+	c.PublishAll(batch)
+	one := stream.Tuple{Ts: time.Unix(3, 0).UTC(), Values: vals[2:3]}
+	c.Publish(one)
+	for i := range vals {
+		vals[i] = stream.Int(-1)
+	}
+	batch[0].Ts = time.Unix(9, 0).UTC()
+	out := c.Poll(time.Unix(5, 0).UTC())
+	var got []int64
+	for _, tu := range out {
+		got = append(got, tu.Values[0].AsInt())
+		if cap(tu.Values) != len(tu.Values) {
+			t.Errorf("polled Values len %d cap %d: an append would reach the next tuple", len(tu.Values), cap(tu.Values))
+		}
+	}
+	if fmt.Sprint(got) != "[1 2 3]" {
+		t.Fatalf("polled %v after the caller reused its values, want [1 2 3]", got)
+	}
+}
+
+// TestChannelHeldValuesSurvivePolls: a reading dated past several polls
+// keeps its values while it waits — it is moved between the channel's
+// two slabs at each Poll, and the publishes and results around it reuse
+// the slab it left.
+func TestChannelHeldValuesSurvivePolls(t *testing.T) {
+	c := NewChannel("ch", TypeMote, chanSchema)
+	c.PublishAll([]stream.Tuple{chanTuple(1), chanTuple(10), chanTuple(2)})
+	for sec := 2; sec < 10; sec++ {
+		out := c.Poll(time.Unix(int64(sec), 0).UTC())
+		for _, tu := range out {
+			if v := tu.Values[0].AsInt(); v > int64(sec) {
+				t.Fatalf("poll at %d returned the reading dated %d", sec, v)
+			}
+		}
+		// Fresh readings fill the slab the previous result used.
+		c.PublishAll([]stream.Tuple{chanTuple(sec + 1), chanTuple(sec + 1)})
+		if c.Pending() < 1 {
+			t.Fatalf("poll at %d: held reading gone", sec)
+		}
+	}
+	out := c.Poll(time.Unix(10, 0).UTC())
+	if len(out) != 3 || out[0].Values[0].AsInt() != 10 || out[1].Values[0].AsInt() != 10 || out[2].Values[0].AsInt() != 10 {
+		t.Fatalf("final poll = %v, want the held reading 10 then the two published at 10", out)
+	}
+}
+
+// TestChannelPublishDuringRead: publishing while another goroutine
+// still reads the previous Poll result is race-free — publishes write
+// only the publish slab, never the result's. Run under -race.
+func TestChannelPublishDuringRead(t *testing.T) {
+	c := NewChannel("ch", TypeMote, chanSchema)
+	var sum int64
+	for round := 1; round <= 50; round++ {
+		batch := make([]stream.Tuple, 32)
+		for i := range batch {
+			batch[i] = chanTuple(round)
+		}
+		c.PublishAll(batch)
+		out := c.Poll(time.Unix(int64(round), 0).UTC())
+		done := make(chan int64)
+		go func() {
+			var s int64
+			for _, tu := range out {
+				s += tu.Values[0].AsInt()
+			}
+			done <- s
+		}()
+		// Next epoch's readings, including held-back ones, arrive while
+		// the reader is still on the result.
+		c.PublishAll([]stream.Tuple{chanTuple(round + 1), chanTuple(round + 5)})
+		c.Publish(chanTuple(round + 1))
+		got := <-done
+		if got != int64(len(out))*int64(round) && round > 5 {
+			t.Fatalf("round %d: reader summed %d over %d tuples", round, got, len(out))
+		}
+		sum += got
+	}
+	if sum == 0 {
+		t.Fatal("reader saw nothing")
+	}
+}
+
+// TestChannelNeverPolledBounded: a channel at its cap that is never
+// polled holds tuple and value storage proportional to its backlog,
+// not to its traffic, and reclaims what eviction frees in place — a
+// saturated publish allocates nothing.
+func TestChannelNeverPolledBounded(t *testing.T) {
+	const limit, total = 1000, 100_000
+	c := NewChannel("ch", TypeMote, chanSchema)
+	c.SetCap(limit)
+	vals := []stream.Value{stream.Int(0), stream.String("x")}
+	for i := 1; i <= total; i++ {
+		vals[0] = stream.Int(int64(i))
+		if i%2 == 0 {
+			c.PublishAll([]stream.Tuple{{Ts: time.Unix(1, 0).UTC(), Values: vals}})
+			continue
+		}
+		c.Publish(stream.Tuple{Ts: time.Unix(1, 0).UTC(), Values: vals[:1]})
+	}
+	c.mu.Lock()
+	tupleCap, valCap := cap(c.buf), cap(c.vals)
+	c.mu.Unlock()
+	if tupleCap > 4*limit || valCap > 8*limit {
+		t.Fatalf("after %d publishes at cap %d: %d tuple slots, %d value slots", total, limit, tupleCap, valCap)
+	}
+	if c.Pending() != limit || c.Dropped() != total-limit {
+		t.Fatalf("pending %d, dropped %d", c.Pending(), c.Dropped())
+	}
+	saturated := func() {
+		for i := 0; i < 10*limit; i++ {
+			c.Publish(stream.Tuple{Ts: time.Unix(1, 0).UTC(), Values: vals})
+		}
+	}
+	if n := testing.AllocsPerRun(5, saturated); n != 0 {
+		t.Errorf("%d publishes to a saturated channel: %v allocs, want 0", 10*limit, n)
+	}
+	out := c.Poll(time.Unix(2, 0).UTC())
+	if len(out) != limit || out[limit-1].Values[0].AsInt() != total || out[limit-1].Values[1].AsString() != "x" {
+		t.Fatalf("polled %d, newest %v", len(out), out[len(out)-1])
 	}
 }
 

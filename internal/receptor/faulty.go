@@ -214,7 +214,9 @@ func (f *Faulty) applyDataFaults(in []stream.Tuple) []stream.Tuple {
 		}
 		for _, t := range tuples {
 			if d, held := f.delayFor(t.Ts); held {
-				f.held = append(f.held, heldTuple{t: t, at: t.Ts.Add(d)})
+				// Held past the inner receptor's next Poll, which may
+				// reuse the tuple's values: keep a copy.
+				f.held = append(f.held, heldTuple{t: t.Clone(), at: t.Ts.Add(d)})
 				continue
 			}
 			out = append(out, t)

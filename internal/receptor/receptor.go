@@ -37,11 +37,11 @@ type Receptor interface {
 	// reports for the epoch ending at now. Polls must be called with
 	// strictly increasing times.
 	//
-	// The returned slice is borrowed: it is valid until the receptor's
-	// next Poll, which may reuse its backing array (Channel does). A
-	// caller that keeps readings past that — a trace recorder, a
-	// wrapping receptor holding delayed tuples — copies the Tuple values
-	// out; the tuples' Values slices themselves are never reused.
+	// The returned slice and its tuples' Values are borrowed: they are
+	// valid until the receptor's next Poll, which may reuse both
+	// (Channel does). A caller that keeps readings past that — a trace
+	// recorder, a wrapping receptor holding delayed tuples — copies them
+	// out with their values (stream.Tuple.Clone).
 	Poll(now time.Time) []stream.Tuple
 }
 

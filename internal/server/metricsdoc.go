@@ -71,6 +71,7 @@ var metricHelp = map[string]string{
 	// Per-tenant serving counters.
 	"serve_tuples_in":          "tuples accepted by Publish",
 	"serve_publish_frames":     "Publish frames applied",
+	"serve_rejected_tuples":    "published tuples refused for not matching the receptor schema (whole frames; at replay, skipped journal records)",
 	"serve_epochs":             "epoch boundaries committed",
 	"serve_data_frames":        "Data frames flushed to subscribers",
 	"serve_subscribers_kicked": "subscribers dropped for not draining their buffer",

@@ -260,8 +260,11 @@ func (s *Server) handle(conn net.Conn) {
 	var sessID string  // bound by a session hello: publishes dedup via the session
 	// The connection's reused buffers: every frame is read into rbuf (its
 	// payload, and a publish's Raw tuple bytes, alias it until the next
-	// read) and every ack encoded into abuf.
+	// read), every publish decoded into dec's scratch (valid until the
+	// next publish; the channel copies the tuples out) and every ack
+	// encoded into abuf.
 	var rbuf, abuf []byte
+	var dec wire.Decoder
 
 	reply := func(f wire.Frame) bool {
 		if s.write > 0 {
@@ -369,7 +372,7 @@ func (s *Server) handle(conn net.Conn) {
 			}
 
 		case wire.TypePublish:
-			m, err := wire.DecodePublish(f)
+			m, err := dec.Publish(f)
 			if err != nil {
 				fail("bad publish: %v", err)
 				return

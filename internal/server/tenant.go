@@ -68,6 +68,7 @@ type Tenant struct {
 	// Telemetry counters (atomic; readable from any goroutine).
 	tuplesIn   *telemetry.Counter
 	framesIn   *telemetry.Counter
+	rejected   *telemetry.Counter
 	epochs     *telemetry.Counter
 	dataOut    *telemetry.Counter
 	subKicked  *telemetry.Counter
@@ -191,6 +192,7 @@ func newTenant(name string, ps *parsedSpec, cfg tenantConfig) (*Tenant, error) {
 	}
 	t.tuplesIn = t.reg.Counter("serve_tuples_in")
 	t.framesIn = t.reg.Counter("serve_publish_frames")
+	t.rejected = t.reg.Counter("serve_rejected_tuples")
 	t.epochs = t.reg.Counter("serve_epochs")
 	t.dataOut = t.reg.Counter("serve_data_frames")
 	t.subKicked = t.reg.Counter("serve_subscribers_kicked")
@@ -318,14 +320,14 @@ func (t *Tenant) replay(rec *wal.Recovery) error {
 	replayedTuples := t.reg.Counter("wal_replayed_tuples")
 	t.replaying = true
 	defer func() { t.replaying = false }()
+	var dec wire.Decoder
 	for _, ep := range rec.Epochs {
 		for _, p := range ep.Publishes {
-			ch, ok := t.chans[p.Receptor]
-			if !ok {
-				return fmt.Errorf("server: tenant %q: journal names unknown receptor %q (spec drift?)", t.name, p.Receptor)
+			n, err := t.replayPublish(&dec, p)
+			if err != nil {
+				return err
 			}
-			ch.PublishAll(p.Tuples)
-			replayedTuples.Add(int64(len(p.Tuples)))
+			replayedTuples.Add(int64(n))
 		}
 		if err := t.stepLocked(ep.Boundary); err != nil {
 			return fmt.Errorf("server: tenant %q: replay: %w", t.name, err)
@@ -333,6 +335,32 @@ func (t *Tenant) replay(rec *wal.Recovery) error {
 		replayedEpochs.Add(1)
 	}
 	return nil
+}
+
+// replayPublish decodes one journalled publish into dec's scratch and
+// appends it to its channel, which copies it out, reporting how many
+// tuples it replayed. A record the admission check refuses — journalled
+// by a server that did not check — is skipped and counted as rejected,
+// as a checked server would have refused its frame: otherwise it fails
+// the step, and every later boot with it.
+func (t *Tenant) replayPublish(dec *wire.Decoder, p wal.Publish) (int, error) {
+	ch, ok := t.chans[p.Receptor]
+	if !ok {
+		return 0, fmt.Errorf("server: tenant %q: journal names unknown receptor %q (spec drift?)", t.name, p.Receptor)
+	}
+	ts, _, err := dec.Tuples(p.Raw)
+	if err != nil {
+		return 0, fmt.Errorf("server: tenant %q: replay: %w", t.name, err)
+	}
+	if err := admit(ch, ts); err != nil {
+		t.rejected.Add(int64(len(ts)))
+		if t.logger != nil {
+			t.logger.Warn("replay skipped a journalled publish the schema check refuses", "tenant", t.name, "err", err)
+		}
+		return 0, nil
+	}
+	ch.PublishAll(ts)
+	return len(ts), nil
 }
 
 // Recovered reports what boot recovery replayed (nil when the tenant
@@ -433,6 +461,10 @@ func (t *Tenant) apply(ch *receptor.Channel, m wire.Publish) (wire.Ack, error) {
 	if max := t.quota.maxPublishTuples(); len(ts) > max {
 		return wire.Ack{}, fmt.Errorf("server: publish of %d tuples exceeds tenant quota %d", len(ts), max)
 	}
+	if err := admit(ch, ts); err != nil {
+		t.rejected.Add(int64(len(ts)))
+		return wire.Ack{}, fmt.Errorf("server: tenant %q: publish refused: %w", t.name, err)
+	}
 	t0 := time.Now()
 	t.firstIngest.CompareAndSwap(0, t0.UnixNano())
 	if t.jl != nil {
@@ -466,6 +498,19 @@ func (t *Tenant) apply(ch *receptor.Channel, m wire.Publish) (wire.Ack, error) {
 		})
 	}
 	return channelAck(ch), nil
+}
+
+// admit is the admission check: every tuple must match the receptor's
+// declared schema (stream.CheckTuples: equal arity, each value NULL or
+// of its field's kind, an int accepted for a float). It runs before a
+// publish is journalled, so a malformed reading is refused with a
+// deterministic error instead of failing the step it reaches and every
+// replay of the journal after it.
+func admit(ch *receptor.Channel, ts []stream.Tuple) error {
+	if i, err := stream.CheckTuples(ch.Schema(), ts); err != nil {
+		return fmt.Errorf("receptor %q tuple %d: %w", ch.ID(), i, err)
+	}
+	return nil
 }
 
 // channelAck reports a channel's backpressure state.

@@ -151,17 +151,35 @@ func CheckTuple(s *Schema, t Tuple) error {
 	if len(t.Values) != s.Len() {
 		return fmt.Errorf("stream: tuple arity %d != schema arity %d %s", len(t.Values), s.Len(), s)
 	}
-	for i, v := range t.Values {
-		f := s.Field(i)
-		if v.IsNull() || v.Kind() == f.Kind {
-			continue
+	for i := range t.Values {
+		if k, want := t.Values[i].kind, s.fields[i].Kind; !fits(k, want) {
+			return fmt.Errorf("stream: field %q: value kind %s != schema kind %s", s.fields[i].Name, k, want)
 		}
-		if f.Kind == KindFloat && v.Kind() == KindInt {
-			continue
-		}
-		return fmt.Errorf("stream: field %q: value kind %s != schema kind %s", f.Name, v.Kind(), f.Kind)
 	}
 	return nil
+}
+
+// CheckTuples validates each of ts as CheckTuple does and returns the
+// index of the first tuple that does not match with CheckTuple's error,
+// or -1 and nil. It checks a whole batch in one loop, with no call or
+// copy per tuple: the serving layer runs it on every published frame.
+func CheckTuples(s *Schema, ts []Tuple) (int, error) {
+	for i := range ts {
+		vals := ts[i].Values
+		ok := len(vals) == len(s.fields)
+		for j := 0; ok && j < len(vals); j++ {
+			ok = fits(vals[j].kind, s.fields[j].Kind)
+		}
+		if !ok {
+			return i, CheckTuple(s, ts[i])
+		}
+	}
+	return -1, nil
+}
+
+// fits reports whether a value of kind k may fill a field of kind want.
+func fits(k, want Kind) bool {
+	return k == KindNull || k == want || (want == KindFloat && k == KindInt)
 }
 
 // GroupKey is a comparable composite key built from up to four values,

@@ -92,6 +92,18 @@ func TestCheckTuple(t *testing.T) {
 	if err := CheckTuple(s, NewTuple(time.Unix(0, 0), String("hot"), Int(3))); err == nil {
 		t.Error("kind mismatch: want error")
 	}
+	// CheckTuples reports the first tuple CheckTuple refuses, with its
+	// error.
+	batch := []Tuple{ok, NewTuple(time.Unix(0, 0), Int(21), Null()), NewTuple(time.Unix(0, 0), String("hot"), Int(3)), NewTuple(time.Unix(0, 0))}
+	if i, err := CheckTuples(s, batch[:2]); i != -1 || err != nil {
+		t.Errorf("CheckTuples of valid tuples = %d, %v", i, err)
+	}
+	for _, bad := range []int{2, 3} {
+		want := CheckTuple(s, batch[bad])
+		if i, err := CheckTuples(s, append(batch[:2:2], batch[bad])); i != 2 || err == nil || err.Error() != want.Error() {
+			t.Errorf("CheckTuples with tuple %d bad = %d, %v; want 2, %v", bad, i, err, want)
+		}
+	}
 }
 
 func TestTupleCloneIndependence(t *testing.T) {

@@ -53,16 +53,40 @@ func ReadCatalog(dir string) (Catalog, error) {
 	return c, nil
 }
 
-// writeCatalog atomically replaces the catalog file (write to a temp
-// name, then rename), so a crash mid-write never leaves a torn catalog.
-func writeCatalog(dir string, c Catalog) error {
+// writeCatalog atomically and durably replaces the catalog file: the
+// new contents are written to a temp name and synced, the temp file is
+// renamed over the catalog, and the directory is synced, so a crash at
+// any point leaves the old catalog or the new one, never a torn or empty
+// file, and a synced rename is not undone by a machine crash. Under
+// noSync both syncs are skipped, as the commit barrier's is.
+func writeCatalog(dir string, c Catalog, noSync bool) error {
 	b, err := json.MarshalIndent(c, "", "  ")
 	if err != nil {
 		return err
 	}
 	tmp := filepath.Join(dir, catalogFile+".tmp")
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, filepath.Join(dir, catalogFile))
+	if _, err := f.Write(append(b, '\n')); err != nil {
+		f.Close()
+		return err
+	}
+	if !noSync {
+		if err := syncFile(f); err != nil {
+			f.Close()
+			return err
+		}
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, filepath.Join(dir, catalogFile)); err != nil {
+		return err
+	}
+	if noSync {
+		return nil
+	}
+	return syncDir(dir)
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"esp/internal/stream"
+	"esp/internal/wire"
 )
 
 // FuzzSegment throws arbitrary bytes at the record decoder — the same
@@ -17,7 +18,14 @@ import (
 //     decoded from — the decoders accept only canonical bytes (no
 //     padded varints, no bool byte other than 0/1), which is what makes
 //     a journal written from a publish frame's raw tuple bytes
-//     identical to one written by re-encoding the decoded tuples.
+//     identical to one written by re-encoding the decoded tuples;
+//  3. the raw record parser the scans use accepts exactly the records
+//     DecodeRecord accepts, consuming the same bytes, with the same
+//     kind, name, epoch and tuple count;
+//  4. the journal scan over a segment holding b keeps exactly the
+//     publishes a DecodeRecord walk of b finds before the scan stops,
+//     and their raw bytes decode to the walk's tuples — the scan
+//     validates without decoding, and replay decodes what it kept.
 func FuzzSegment(f *testing.F) {
 	seed := func(r Record) {
 		b, err := AppendRecord(nil, r)
@@ -51,10 +59,30 @@ func FuzzSegment(f *testing.F) {
 	f.Add(appendFrame(nil, []byte{0x7f, 1, 2, 3}))
 	f.Add(segHeader[:])
 
+	// Several records back to back: a scan walks past the first.
+	var multi []byte
+	for _, r := range []Record{
+		{Kind: KindPublish, Receptor: "m0", Tuples: []stream.Tuple{ts(1, stream.Float(1))}},
+		{Kind: KindCommit, Epoch: time.Unix(1, 0).UTC()},
+		{Kind: KindPublish, Receptor: "m1", Tuples: []stream.Tuple{ts(2, stream.String("x"), stream.Int(2))}},
+	} {
+		multi, _ = AppendRecord(multi, r)
+	}
+	f.Add(multi)
+
 	f.Fuzz(func(t *testing.T, b []byte) {
+		checkJournalScan(t, b)
 		r, n, err := DecodeRecord(b)
+		raw, rn, rerr := parseRecord(b)
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("DecodeRecord err %v, parseRecord err %v", err, rerr)
+		}
 		if err != nil {
 			return
+		}
+		name := r.Receptor + r.Stream
+		if rn != n || raw.kind != r.Kind || string(raw.name) != name || !raw.epoch.Equal(r.Epoch) || raw.count != len(r.Tuples) {
+			t.Fatalf("parseRecord %+v (%d B) disagrees with DecodeRecord %+v (%d B)", raw, rn, r, n)
 		}
 		re, err := AppendRecord(nil, r)
 		if err != nil {
@@ -64,4 +92,48 @@ func FuzzSegment(f *testing.F) {
 			t.Fatalf("record is not canonical:\nin  %x\nout %x", b[:n], re)
 		}
 	})
+}
+
+// checkJournalScan is FuzzSegment's invariant 4.
+func checkJournalScan(t *testing.T, b []byte) {
+	t.Helper()
+	var want []Record // the walk's publishes, up to where the scan stops
+	off := 0
+	for off < len(b) {
+		r, n, err := DecodeRecord(b[off:])
+		if err != nil || r.Kind == KindOutput {
+			break
+		}
+		if r.Kind == KindPublish {
+			want = append(want, r)
+		}
+		off += n
+	}
+	js := &journalScan{}
+	js.scanSegment(append(segHeader[:], b...), "wal-fuzz.seg", 1)
+	js.finish()
+	var got []Publish
+	for _, ep := range js.rec.Epochs {
+		got = append(got, ep.Publishes...)
+	}
+	got = append(got, js.rec.Tail...)
+	// The scan also stops at a non-monotonic commit, which the walk does
+	// not model: it keeps a prefix of the walk's publishes then, and all
+	// of them otherwise.
+	if len(got) > len(want) || (js.rec.Corruption == "" && len(got) != len(want)) {
+		t.Fatalf("scan kept %d publishes (corruption %q), the walk found %d", len(got), js.rec.Corruption, len(want))
+	}
+	for i, p := range got {
+		ts, _, err := wire.DecodeTuples(p.Raw)
+		if err != nil {
+			t.Fatalf("publish %d: kept raw bytes do not decode: %v", i, err)
+		}
+		if p.Receptor != want[i].Receptor || p.Count != len(want[i].Tuples) ||
+			!bytes.Equal(wire.AppendTuples(nil, ts), wire.AppendTuples(nil, want[i].Tuples)) {
+			t.Fatalf("publish %d: scan kept %q %d tuples, the walk decoded %q %v", i, p.Receptor, p.Count, want[i].Receptor, want[i].Tuples)
+		}
+	}
+	if off < len(b) && js.rec.Corruption == "" {
+		t.Fatalf("the walk stopped at byte %d of %d, the scan reported no corruption", off, len(b))
+	}
 }

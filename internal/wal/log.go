@@ -32,10 +32,11 @@ type Options struct {
 	// DefaultSegmentBytes). Rotation happens only at commit barriers,
 	// keeping segments epoch-aligned.
 	SegmentBytes int64
-	// NoSync skips every device sync of a Commit — the barrier's
-	// fdatasync and those of a segment rotation — while still handing
-	// the committed records to the OS, so they survive a process crash
-	// but not a machine crash. Only for tests and the bench's overhead
+	// NoSync skips the device syncs of a Commit — the barrier's
+	// fdatasync and those of a segment rotation — and the file and
+	// directory syncs of every catalog write, while still handing the
+	// committed records to the OS, so they survive a process crash but
+	// not a machine crash. Only for tests and the bench's overhead
 	// decomposition — it voids the durability contract.
 	NoSync bool
 	// Registry, when non-nil, receives the wal_* counters and the
@@ -134,9 +135,12 @@ func (sw *segWriter) close() error {
 	return sw.f.Close()
 }
 
-// syncDir fsyncs a directory so renames, creates, and removes in it are
+// syncDir is dirSync; tests observe the directory syncs through it.
+var syncDir = dirSync
+
+// dirSync fsyncs a directory so renames, creates, and removes in it are
 // durable.
-func syncDir(dir string) error {
+func dirSync(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
@@ -220,13 +224,10 @@ func Open(opts Options) (*Log, *Recovery, error) {
 	l.cat.JournalSegments = jseq
 	l.cat.ArchiveSegments = aseq
 	// Mark the catalog live (Completed=false) immediately: a crash
-	// from here on is detectable from the catalog alone.
-	if err := writeCatalog(opts.Dir, l.cat); err != nil {
-		l.journal.f.Close()
-		l.archive.f.Close()
-		return nil, nil, err
-	}
-	if err := syncDir(opts.Dir); err != nil {
+	// from here on is detectable from the catalog alone. The catalog
+	// write's directory sync also makes the truncation and the new
+	// segments durable.
+	if err := writeCatalog(opts.Dir, l.cat, l.noSync); err != nil {
 		l.journal.f.Close()
 		l.archive.f.Close()
 		return nil, nil, err
@@ -452,7 +453,7 @@ func (l *Log) maybeRotateLocked() error {
 		rotated = true
 	}
 	if rotated {
-		return writeCatalog(l.dir, l.cat)
+		return writeCatalog(l.dir, l.cat, l.noSync)
 	}
 	return nil
 }
@@ -474,10 +475,7 @@ func (l *Log) Close() error {
 		return err
 	}
 	l.cat.Completed = true
-	if err := writeCatalog(l.dir, l.cat); err != nil {
-		return err
-	}
-	return syncDir(l.dir)
+	return writeCatalog(l.dir, l.cat, l.noSync)
 }
 
 // Crash abandons the log the way a process kill would: file handles

@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"sort"
 	"time"
-
-	"esp/internal/stream"
 )
 
 // Segment filename prefixes. Sequence numbers are contiguous from 1; a
@@ -24,10 +22,16 @@ func segName(prefix string, seq int) string {
 }
 
 // Publish is one journalled publish: the receptor it targeted and its
-// readings, in append order.
+// readings in append order, still encoded. Raw is the record's counted
+// tuple list as wire.AppendTuples writes it, checked by the scan under
+// DecodeRecord's rules, and Count its tuple count. Raw aliases the
+// segment bytes the scan read, so a recovered history costs its journal
+// bytes, not its decoded tuples; replay decodes each record into reused
+// scratch (wire.Decoder).
 type Publish struct {
 	Receptor string
-	Tuples   []stream.Tuple
+	Raw      []byte
+	Count    int
 }
 
 // Epoch is one committed epoch: its barrier boundary and every publish
@@ -115,6 +119,14 @@ type journalScan struct {
 	total   int64   // total journal bytes on disk
 	counts  Catalog // publish/epoch counts of the surviving history
 	lastSeq int     // highest surviving segment sequence (0 = none)
+
+	// In-flight state: publishes since the last barrier, and the
+	// receptor names seen so far (one string per receptor, not per
+	// record).
+	pending       []Publish
+	pendingTuples int64
+	hasCommit     bool
+	names         map[string]string
 }
 
 // scanJournal reads every journal segment in order, stopping at the
@@ -125,11 +137,7 @@ func scanJournal(dir string) (*journalScan, error) {
 		return nil, err
 	}
 	js := &journalScan{segs: segs}
-	var pending []Publish
-	var pendingTuples int64
 	expect := 1
-	hasCommit := false
-scan:
 	for _, seg := range segs {
 		js.total += seg.size
 		if seg.seq != expect {
@@ -141,50 +149,79 @@ scan:
 		if err != nil {
 			return nil, err
 		}
-		if len(b) < len(segHeader) || !bytes.Equal(b[:len(segHeader)], segHeader[:]) {
-			js.rec.Corruption = fmt.Sprintf("%s: bad segment header", filepath.Base(seg.path))
+		if !js.scanSegment(b, filepath.Base(seg.path), seg.seq) {
 			break
 		}
-		off := int64(len(segHeader))
-		for int(off) < len(b) {
-			r, n, err := DecodeRecord(b[off:])
-			if err != nil {
-				js.rec.Corruption = fmt.Sprintf("%s@%d: %v", filepath.Base(seg.path), off, err)
-				break scan
-			}
-			switch r.Kind {
-			case KindPublish:
-				pending = append(pending, Publish{Receptor: r.Receptor, Tuples: r.Tuples})
-				pendingTuples += int64(len(r.Tuples))
-			case KindCommit:
-				if hasCommit && !r.Epoch.After(js.rec.Last) {
-					js.rec.Corruption = fmt.Sprintf("%s@%d: non-monotonic commit %v (last %v)",
-						filepath.Base(seg.path), off, r.Epoch, js.rec.Last)
-					break scan
-				}
-				hasCommit = true
-				js.rec.Epochs = append(js.rec.Epochs, Epoch{Boundary: r.Epoch, Publishes: pending})
-				js.rec.Last = r.Epoch
-				js.counts.Epochs++
-				js.counts.PublishRecords += int64(len(pending))
-				js.counts.PublishTuples += pendingTuples
-				pending, pendingTuples = nil, 0
-				js.good = scanPos{seq: seg.seq, end: off + int64(n)}
-			default:
-				js.rec.Corruption = fmt.Sprintf("%s@%d: unexpected %v record in journal",
-					filepath.Base(seg.path), off, r.Kind)
-				break scan
-			}
-			off += int64(n)
-		}
 	}
-	js.rec.Tail = pending
+	js.finish()
+	return js, nil
+}
+
+// scanSegment scans one journal segment's bytes, header included, into
+// the history; it reports false when it stopped at corruption (recorded
+// in rec.Corruption). Publishes keep aliasing b.
+func (js *journalScan) scanSegment(b []byte, name string, seq int) bool {
+	if len(b) < len(segHeader) || !bytes.Equal(b[:len(segHeader)], segHeader[:]) {
+		js.rec.Corruption = fmt.Sprintf("%s: bad segment header", name)
+		return false
+	}
+	off := int64(len(segHeader))
+	for int(off) < len(b) {
+		r, n, err := parseRecord(b[off:])
+		if err != nil {
+			js.rec.Corruption = fmt.Sprintf("%s@%d: %v", name, off, err)
+			return false
+		}
+		switch r.kind {
+		case KindPublish:
+			js.pending = append(js.pending, Publish{Receptor: js.name(r.name), Raw: r.tuples, Count: r.count})
+			js.pendingTuples += int64(r.count)
+		case KindCommit:
+			if js.hasCommit && !r.epoch.After(js.rec.Last) {
+				js.rec.Corruption = fmt.Sprintf("%s@%d: non-monotonic commit %v (last %v)",
+					name, off, r.epoch, js.rec.Last)
+				return false
+			}
+			js.hasCommit = true
+			js.rec.Epochs = append(js.rec.Epochs, Epoch{Boundary: r.epoch, Publishes: js.pending})
+			js.rec.Last = r.epoch
+			js.counts.Epochs++
+			js.counts.PublishRecords += int64(len(js.pending))
+			js.counts.PublishTuples += js.pendingTuples
+			js.pending, js.pendingTuples = nil, 0
+			js.good = scanPos{seq: seq, end: off + int64(n)}
+		default:
+			js.rec.Corruption = fmt.Sprintf("%s@%d: unexpected %v record in journal", name, off, r.kind)
+			return false
+		}
+		off += int64(n)
+	}
+	return true
+}
+
+// name returns a receptor name as a string shared by every record that
+// names it.
+func (js *journalScan) name(b []byte) string {
+	if s, ok := js.names[string(b)]; ok {
+		return s
+	}
+	if js.names == nil {
+		js.names = make(map[string]string)
+	}
+	s := string(b)
+	js.names[s] = s
+	return s
+}
+
+// finish closes the scan: the publishes after the last barrier are the
+// tail, and the catalog's epoch range is the surviving history's.
+func (js *journalScan) finish() {
+	js.rec.Tail = js.pending
 	if js.good.seq > 0 {
 		js.counts.StartEpoch = js.rec.Epochs[0].Boundary.UnixNano()
 		js.counts.EndEpoch = js.rec.Last.UnixNano()
 		js.lastSeq = js.good.seq
 	}
-	return js, nil
 }
 
 // archiveScan is the raw result of scanning the archive segments
@@ -226,23 +263,23 @@ scan:
 		}
 		off := int64(len(segHeader))
 		for int(off) < len(b) {
-			r, n, err := DecodeRecord(b[off:])
+			r, n, err := parseRecord(b[off:])
 			if err != nil {
 				break scan
 			}
-			switch r.Kind {
+			switch r.kind {
 			case KindOutput:
 				pendRecs++
-				pendTuples += int64(len(r.Tuples))
+				pendTuples += int64(r.count)
 			case KindCommit:
-				if hasCommit && !r.Epoch.After(as.through) {
+				if hasCommit && !r.epoch.After(as.through) {
 					break scan
 				}
-				if !hasJournal || r.Epoch.After(journalLast) {
+				if !hasJournal || r.epoch.After(journalLast) {
 					break scan
 				}
 				hasCommit = true
-				as.through = r.Epoch
+				as.through = r.epoch
 				as.counts.OutputRecords += pendRecs
 				as.counts.OutputTuples += pendTuples
 				pendRecs, pendTuples = 0, 0
@@ -338,11 +375,11 @@ func SegmentRecords(path string) ([]RecordPos, error) {
 	var out []RecordPos
 	off := int64(len(segHeader))
 	for int(off) < len(b) {
-		r, n, err := DecodeRecord(b[off:])
+		r, n, err := parseRecord(b[off:])
 		if err != nil {
 			break
 		}
-		out = append(out, RecordPos{Start: off, End: off + int64(n), Kind: r.Kind})
+		out = append(out, RecordPos{Start: off, End: off + int64(n), Kind: r.kind})
 		off += int64(n)
 	}
 	return out, nil
@@ -380,12 +417,12 @@ func Commits(dir string) ([]CommitPos, error) {
 		}
 		off := int64(len(segHeader))
 		for int(off) < len(b) {
-			r, n, err := DecodeRecord(b[off:])
+			r, n, err := parseRecord(b[off:])
 			if err != nil {
 				break
 			}
-			if r.Kind == KindCommit {
-				out = append(out, CommitPos{Segment: filepath.Base(seg.path), End: off + int64(n), Epoch: r.Epoch})
+			if r.kind == KindCommit {
+				out = append(out, CommitPos{Segment: filepath.Base(seg.path), End: off + int64(n), Epoch: r.epoch})
 			}
 			off += int64(n)
 		}

@@ -126,24 +126,25 @@ func appendName(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// decodeName decodes a length-prefixed name, guarding the length
-// before any allocation. Like the tuple codec it accepts only the
-// minimal varint, so a record that decodes re-encodes byte for byte.
-func decodeName(b []byte) (string, int, error) {
+// nameSpan validates a length-prefixed name at the front of b and
+// returns its bytes (aliasing b) and the bytes it occupies. Like the
+// tuple codec it accepts only the minimal varint, so a record that
+// decodes re-encodes byte for byte.
+func nameSpan(b []byte) ([]byte, int, error) {
 	n, used, err := wire.Uvarint(b)
 	if errors.Is(err, wire.ErrShort) {
-		return "", 0, ErrShort
+		return nil, 0, ErrShort
 	}
 	if err != nil {
-		return "", 0, err
+		return nil, 0, err
 	}
 	if n > maxName {
-		return "", 0, fmt.Errorf("wal: name length %d exceeds %d", n, maxName)
+		return nil, 0, fmt.Errorf("wal: name length %d exceeds %d", n, maxName)
 	}
 	if uint64(len(b)-used) < n {
-		return "", 0, ErrShort
+		return nil, 0, ErrShort
 	}
-	return string(b[used : used+int(n)]), used + int(n), nil
+	return b[used : used+int(n)], used + int(n), nil
 }
 
 // appendBody appends r's body (kind byte + payload) without framing.
@@ -183,62 +184,89 @@ func AppendRecord(dst []byte, r Record) ([]byte, error) {
 // strict: a body with trailing bytes its kind does not account for is
 // corrupt, which keeps valid records canonically re-encodable.
 func DecodeRecord(b []byte) (Record, int, error) {
+	raw, n, err := parseRecord(b)
+	if err != nil {
+		return Record{}, 0, err
+	}
+	r := Record{Kind: raw.kind, Epoch: raw.epoch}
+	switch raw.kind {
+	case KindPublish:
+		r.Receptor = string(raw.name)
+	case KindOutput:
+		r.Stream = string(raw.name)
+	}
+	if raw.kind != KindCommit {
+		// parseRecord validated the list under the same rules.
+		if r.Tuples, _, err = wire.DecodeTuples(raw.tuples); err != nil {
+			return Record{}, 0, err
+		}
+	}
+	return r, n, nil
+}
+
+// rawRecord is one framed record checked under DecodeRecord's rules with
+// its tuple list left encoded: name (the receptor or stream) and tuples
+// (the counted list, count tuples long) alias the parsed bytes.
+type rawRecord struct {
+	kind   Kind
+	name   []byte
+	epoch  time.Time
+	tuples []byte
+	count  int
+}
+
+// parseRecord validates one framed record at the front of b without
+// decoding its tuples — it accepts exactly the records DecodeRecord
+// accepts, with the same errors, and allocates nothing — and returns it
+// with the bytes consumed. The scans use it: they count and replay
+// tuples, and a journal's tuples are decoded once, at replay, into
+// reused scratch.
+func parseRecord(b []byte) (rawRecord, int, error) {
 	if len(b) < recHeaderLen {
-		return Record{}, 0, ErrShort
+		return rawRecord{}, 0, ErrShort
 	}
 	n := binary.BigEndian.Uint32(b)
 	if n < 1 || n > MaxRecord {
-		return Record{}, 0, fmt.Errorf("wal: record length %d out of range", n)
+		return rawRecord{}, 0, fmt.Errorf("wal: record length %d out of range", n)
 	}
 	if uint32(len(b)-recHeaderLen) < n {
-		return Record{}, 0, ErrShort
+		return rawRecord{}, 0, ErrShort
 	}
 	body := b[recHeaderLen : recHeaderLen+int(n)]
 	if crc32.Checksum(body, crcTable) != binary.BigEndian.Uint32(b[4:]) {
-		return Record{}, 0, ErrChecksum
+		return rawRecord{}, 0, ErrChecksum
 	}
-	r := Record{Kind: Kind(body[0])}
+	r := rawRecord{kind: Kind(body[0])}
 	p := body[1:]
-	switch r.Kind {
-	case KindPublish:
-		name, used, err := decodeName(p)
+	switch r.kind {
+	case KindPublish, KindOutput:
+		name, used, err := nameSpan(p)
 		if err != nil {
-			return Record{}, 0, err
+			return rawRecord{}, 0, err
 		}
-		r.Receptor = name
-		ts, used2, err := wire.DecodeTuples(p[used:])
+		r.name = name
+		if r.kind == KindOutput {
+			if len(p[used:]) < 8 {
+				return rawRecord{}, 0, ErrShort
+			}
+			r.epoch = time.Unix(0, int64(binary.BigEndian.Uint64(p[used:]))).UTC()
+			used += 8
+		}
+		count, used2, err := wire.SkipTuples(p[used:])
 		if err != nil {
-			return Record{}, 0, err
+			return rawRecord{}, 0, err
 		}
 		if used+used2 != len(p) {
-			return Record{}, 0, fmt.Errorf("wal: %d trailing bytes in publish record", len(p)-used-used2)
+			return rawRecord{}, 0, fmt.Errorf("wal: %d trailing bytes in %v record", len(p)-used-used2, r.kind)
 		}
-		r.Tuples = ts
+		r.tuples, r.count = p[used:used+used2:used+used2], count
 	case KindCommit:
 		if len(p) != 8 {
-			return Record{}, 0, fmt.Errorf("wal: commit record body is %d bytes, want 8", len(p))
+			return rawRecord{}, 0, fmt.Errorf("wal: commit record body is %d bytes, want 8", len(p))
 		}
-		r.Epoch = time.Unix(0, int64(binary.BigEndian.Uint64(p))).UTC()
-	case KindOutput:
-		name, used, err := decodeName(p)
-		if err != nil {
-			return Record{}, 0, err
-		}
-		r.Stream = name
-		if len(p[used:]) < 8 {
-			return Record{}, 0, ErrShort
-		}
-		r.Epoch = time.Unix(0, int64(binary.BigEndian.Uint64(p[used:]))).UTC()
-		ts, used2, err := wire.DecodeTuples(p[used+8:])
-		if err != nil {
-			return Record{}, 0, err
-		}
-		if used+8+used2 != len(p) {
-			return Record{}, 0, fmt.Errorf("wal: %d trailing bytes in output record", len(p)-used-8-used2)
-		}
-		r.Tuples = ts
+		r.epoch = time.Unix(0, int64(binary.BigEndian.Uint64(p))).UTC()
 	default:
-		return Record{}, 0, fmt.Errorf("wal: unknown record kind %d", body[0])
+		return rawRecord{}, 0, fmt.Errorf("wal: unknown record kind %d", body[0])
 	}
 	return r, recHeaderLen + int(n), nil
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -205,7 +206,7 @@ func TestLogWriteRecoverClean(t *testing.T) {
 		if !ep.Boundary.Equal(at(i+1)) || len(ep.Publishes) != 2 {
 			t.Fatalf("epoch %d = %v with %d publishes", i, ep.Boundary, len(ep.Publishes))
 		}
-		if ep.Publishes[0].Receptor != "m0" || len(ep.Publishes[0].Tuples) != 1 {
+		if ep.Publishes[0].Receptor != "m0" || ep.Publishes[0].Count != 1 {
 			t.Fatalf("epoch %d publish 0 = %+v", i, ep.Publishes[0])
 		}
 	}
@@ -236,7 +237,11 @@ func TestLogCrashDiscardsUncommittedTail(t *testing.T) {
 	// in rec.Tail and be truncated. Either way it must not be replayed.
 	for _, ep := range rec.Epochs {
 		for _, p := range ep.Publishes {
-			for _, tu := range p.Tuples {
+			ts, _, err := wire.DecodeTuples(p.Raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tu := range ts {
 				if tu.Ts.After(at(3)) {
 					t.Fatalf("uncommitted reading replayed: %v", tu)
 				}
@@ -447,13 +452,18 @@ func TestLogRecoveryEquivalence(t *testing.T) {
 // TestNoSyncRotationNeverSyncs: under NoSync a segment rotation must not
 // touch the device either. OnFsync reports the commit barriers only, so
 // the file syncs are counted underneath it: one per barrier and per
-// rotation in the durable run, none in the NoSync one.
+// rotation of a segment in the durable run, plus one per catalog write
+// (at Open and after each rotating commit), and none in the NoSync run.
 func TestNoSyncRotationNeverSyncs(t *testing.T) {
 	const epochs = 12
 	defer func() { syncFile = datasync }()
-	run := func(noSync bool) (syncs, fsyncs int, cat Catalog) {
+	run := func(noSync bool) (segSyncs, catSyncs, fsyncs int, cat Catalog) {
 		syncFile = func(f *os.File) error {
-			syncs++
+			if strings.HasSuffix(f.Name(), segSuffix) {
+				segSyncs++
+			} else {
+				catSyncs++
+			}
 			return datasync(f)
 		}
 		l, _, err := Open(Options{
@@ -474,22 +484,95 @@ func TestNoSyncRotationNeverSyncs(t *testing.T) {
 		}
 		cat = l.Catalog()
 		l.Crash()
-		return syncs, fsyncs, cat
+		return segSyncs, catSyncs, fsyncs, cat
 	}
-	syncs, fsyncs, cat := run(false)
+	syncs, catSyncs, fsyncs, cat := run(false)
 	rotations := cat.JournalSegments - 1 + cat.ArchiveSegments - 1
 	if rotations < 4 {
 		t.Fatalf("only %d rotations at 128-byte segments: the test exercises nothing", rotations)
 	}
 	if syncs != epochs+rotations || fsyncs != epochs {
-		t.Errorf("durable run: %d file syncs, %d OnFsync calls; want %d barriers + %d rotations, %d",
+		t.Errorf("durable run: %d segment syncs, %d OnFsync calls; want %d barriers + %d rotations, %d",
 			syncs, fsyncs, epochs, rotations, epochs)
 	}
-	syncs, fsyncs, ncat := run(true)
+	if catSyncs < 2 {
+		t.Errorf("durable run: %d catalog syncs; want one at Open and one per rotating commit", catSyncs)
+	}
+	syncs, catSyncs, fsyncs, ncat := run(true)
 	if ncat.JournalSegments != cat.JournalSegments || ncat.ArchiveSegments != cat.ArchiveSegments {
 		t.Fatalf("NoSync rotated differently: %+v vs %+v", ncat, cat)
 	}
-	if syncs != 0 || fsyncs != 0 {
-		t.Errorf("NoSync run: %d file syncs, %d OnFsync calls; want none", syncs, fsyncs)
+	if syncs != 0 || catSyncs != 0 || fsyncs != 0 {
+		t.Errorf("NoSync run: %d segment syncs, %d catalog syncs, %d OnFsync calls; want none", syncs, catSyncs, fsyncs)
+	}
+}
+
+// TestCatalogWriteIsDurable: every catalog write — at Open, after a
+// rotating commit, and at Close — syncs the temp file, then renames it
+// over the catalog, then syncs the directory. The order is read off the
+// sync seams: at the file sync the catalog still holds the old contents,
+// and at the directory sync the new ones, with the temp file gone.
+func TestCatalogWriteIsDurable(t *testing.T) {
+	dir := t.TempDir()
+	catalog := filepath.Join(dir, catalogFile)
+	tmp := catalog + ".tmp"
+	var events []string
+	var synced []byte // the temp file's contents at its sync
+	defer func() { syncFile, syncDir = datasync, dirSync }()
+	syncFile = func(f *os.File) error {
+		if f.Name() == tmp {
+			var err error
+			if synced, err = os.ReadFile(tmp); err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := os.ReadFile(catalog); bytes.Equal(got, synced) {
+				events = append(events, "renamed before the file sync")
+			}
+			events = append(events, "sync file")
+		}
+		return datasync(f)
+	}
+	syncDir = func(d string) error {
+		// Rotation syncs the directory for its new segments too; a
+		// catalog write's directory sync is the one right after its
+		// file sync.
+		if d == dir && len(events) > 0 && events[len(events)-1] == "sync file" {
+			if _, err := os.Stat(tmp); err == nil {
+				events = append(events, "dir sync before the rename")
+			} else if got, _ := os.ReadFile(catalog); !bytes.Equal(got, synced) {
+				events = append(events, "dir sync without the synced catalog in place")
+			}
+			events = append(events, "sync dir")
+		}
+		return dirSync(d)
+	}
+	l, _, err := Open(Options{Dir: dir, SegmentBytes: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened := len(events)
+	for e := 1; e <= 3; e++ {
+		if err := l.Journal("m0", []stream.Tuple{reading(e, "m0", float64(e))}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Commit(at(e), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rotated := len(events)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if opened != 2 || rotated <= opened || (rotated-opened)%2 != 0 || len(events) != rotated+2 {
+		t.Fatalf("catalog sync events: %d at Open, %d after the rotating commits, %d after Close: %v",
+			opened, rotated, len(events), events)
+	}
+	for i := 0; i < len(events); i += 2 {
+		if events[i] != "sync file" || events[i+1] != "sync dir" {
+			t.Fatalf("catalog write %d: %v, want [sync file, sync dir]", i/2, events[i:i+2])
+		}
+	}
+	if cat, err := ReadCatalog(dir); err != nil || !cat.Completed || cat.Epochs != 3 {
+		t.Fatalf("catalog = %+v, %v", cat, err)
 	}
 }

@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"testing"
+
+	"esp/internal/stream"
 )
 
 // FuzzFrame throws arbitrary bytes at the full decode stack: the frame
@@ -15,6 +17,10 @@ import (
 // AppendTuples of what they decoded to — the property that lets the
 // WAL journal those bytes verbatim. A frame that sets the reserved flags
 // byte never decodes (invariant 2 pins that: every encoder writes zero).
+// (5) The three tuple-list readers agree on every payload: a Decoder
+// and SkipTuples accept exactly what DecodeTuples accepts, consume the
+// same bytes, and the Decoder's tuples equal the allocating ones — also
+// when the same Decoder has just decoded something else.
 // The committed corpus holds a non-canonical bool byte and a padded
 // varint, both of which must be rejected rather than decoded, and
 // flagged frames next to flag-zeroed copies of them.
@@ -46,6 +52,7 @@ func FuzzFrame(f *testing.F) {
 		if re := AppendFrame(nil, fr); !bytes.Equal(re, b[:n]) {
 			t.Fatalf("frame re-encode differs:\nin  %x\nout %x", b[:n], re)
 		}
+		checkTupleReaders(t, fr.Payload)
 		switch fr.Type {
 		case TypeHello:
 			if m, err := DecodeHello(fr); err == nil {
@@ -56,7 +63,15 @@ func FuzzFrame(f *testing.F) {
 				return
 			}
 		case TypePublish:
-			if m, err := DecodePublish(fr); err == nil {
+			var dec Decoder
+			dm, derr := dec.Publish(fr)
+			if m, err := DecodePublish(fr); (err == nil) != (derr == nil) {
+				t.Fatalf("DecodePublish err %v, Decoder.Publish err %v", err, derr)
+			} else if err == nil {
+				if dm.Receptor != m.Receptor || dm.Seq != m.Seq || dm.TraceID != m.TraceID ||
+					!bytes.Equal(dm.Raw, m.Raw) || !sameTuples(dm.Tuples, m.Tuples) {
+					t.Fatalf("Decoder.Publish %+v differs from DecodePublish %+v", dm, m)
+				}
 				if re := AppendTuples(nil, m.Tuples); !bytes.Equal(re, m.Raw) {
 					t.Fatalf("publish tuple bytes are not canonical:\nin  %x\nout %x", m.Raw, re)
 				}
@@ -109,4 +124,36 @@ func reDecode(t *testing.T, f Frame, want any, dec func(Frame) (any, error)) {
 	if got != want {
 		t.Fatalf("round trip drifted: %+v vs %+v", want, got)
 	}
+}
+
+// checkTupleReaders is FuzzFrame's invariant 5 over the tuple list at
+// the front of b.
+func checkTupleReaders(t *testing.T, b []byte) {
+	t.Helper()
+	want, n, err := DecodeTuples(b)
+	var dec Decoder
+	// Decode something first, so b's tuples land in used scratch.
+	if _, _, err := dec.Tuples(AppendTuples(nil, sampleTuples())); err != nil {
+		t.Fatal(err)
+	}
+	got, dn, derr := dec.Tuples(b)
+	count, sn, serr := SkipTuples(b)
+	if (derr == nil) != (err == nil) || (serr == nil) != (err == nil) {
+		t.Fatalf("DecodeTuples err %v, Decoder.Tuples err %v, SkipTuples err %v", err, derr, serr)
+	}
+	if err != nil {
+		return
+	}
+	if dn != n || sn != n || count != len(want) {
+		t.Fatalf("consumed %d/%d/%d bytes, counted %d of %d tuples", n, dn, sn, count, len(want))
+	}
+	if !sameTuples(got, want) {
+		t.Fatalf("Decoder tuples %v, want %v", got, want)
+	}
+}
+
+// sameTuples compares tuple lists by their canonical encoding, so an
+// empty list equals a nil one and a NaN equals itself bit for bit.
+func sameTuples(a, b []stream.Tuple) bool {
+	return bytes.Equal(AppendTuples(nil, a), AppendTuples(nil, b))
 }

@@ -14,7 +14,10 @@ func appendString(dst []byte, s string) []byte {
 }
 
 // decodeString decodes a length-prefixed string from the front of b.
-func decodeString(b []byte) (string, int, error) {
+func decodeString(b []byte) (string, int, error) { return decodeStringVia(b, nil) }
+
+// decodeStringVia is decodeString through d's intern table.
+func decodeStringVia(b []byte, d *Decoder) (string, int, error) {
 	n, w, err := Uvarint(b)
 	if err != nil {
 		return "", 0, err
@@ -22,7 +25,7 @@ func decodeString(b []byte) (string, int, error) {
 	if n > uint64(len(b)-w) {
 		return "", 0, ErrShort
 	}
-	return string(b[w : w+int(n)]), w + int(n), nil
+	return d.intern(b[w : w+int(n)]), w + int(n), nil
 }
 
 // Hello opens a connection, naming the tenant the connection serves and
@@ -131,11 +134,11 @@ func DecodeCreate(f Frame) (Create, error) {
 // is observable end to end. It rides as optional trailing bytes, so an
 // untraced publish is byte-compatible with the pre-tracing protocol.
 //
-// Raw is set by DecodePublish: the validated counted tuple list Tuples
-// was decoded from. It aliases the frame payload, and because the
-// decoder accepts only canonical bytes it equals AppendTuples(nil,
-// Tuples) — which is what lets the serving layer journal it verbatim.
-// Encoders ignore it.
+// Raw is set by DecodePublish and Decoder.Publish: the validated
+// counted tuple list Tuples was decoded from. It aliases the frame
+// payload, and because the decoders accept only canonical bytes it
+// equals AppendTuples(nil, Tuples) — which is what lets the serving
+// layer journal it verbatim. Encoders ignore it.
 type Publish struct {
 	Receptor string
 	Seq      uint64
@@ -161,29 +164,11 @@ func (m Publish) AppendPayload(dst []byte) []byte {
 	return dst
 }
 
-// DecodePublish decodes a publish frame. Raw aliases f.Payload; Tuples
-// do not.
-func DecodePublish(f Frame) (Publish, error) {
-	var m Publish
-	r, w, err := decodeString(f.Payload)
-	if err != nil {
-		return m, err
-	}
-	rest := f.Payload[w:]
-	if len(rest) < 8 {
-		return m, ErrShort
-	}
-	seq := binary.BigEndian.Uint64(rest)
-	ts, n, err := DecodeTuples(rest[8:])
-	if err != nil {
-		return m, err
-	}
-	var trace uint64
-	if tail := rest[8+n:]; len(tail) >= 8 {
-		trace = binary.BigEndian.Uint64(tail)
-	}
-	return Publish{Receptor: r, Seq: seq, Tuples: ts, TraceID: trace, Raw: rest[8 : 8+n : 8+n]}, nil
-}
+// DecodePublish decodes a publish frame into freshly allocated tuples
+// (one exact-size Values slice each) that are the caller's to keep. Raw
+// aliases f.Payload; Tuples do not. A connection loop decodes with a
+// Decoder instead.
+func DecodePublish(f Frame) (Publish, error) { return decodePublish(f, nil) }
 
 // Advance drives the tenant's epoch clock to Now (UnixNano): the server
 // punctuates every granule boundary up to and including it. Seq

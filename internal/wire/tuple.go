@@ -75,53 +75,69 @@ func appendValue(dst []byte, v stream.Value) []byte {
 	return dst
 }
 
-// decodeValue decodes one value from b, returning it and the bytes
-// consumed.
-func decodeValue(b []byte) (stream.Value, int, error) {
+// valueSpan validates the canonical encoding of the value at the front
+// of b and returns its kind and the extent of its payload, b[start:end];
+// end is also the bytes the value occupies. It is the one place the
+// value rules live: decodeValue builds a value from the span and
+// SkipTuples only steps over it, so both accept exactly the same bytes.
+func valueSpan(b []byte) (kind stream.Kind, start, end int, err error) {
 	if len(b) < 1 {
-		return stream.Value{}, 0, ErrShort
+		return 0, 0, 0, ErrShort
 	}
-	kind := stream.Kind(b[0])
+	kind = stream.Kind(b[0])
 	rest := b[1:]
 	switch kind {
 	case stream.KindNull:
-		return stream.Null(), 1, nil
+		return kind, 1, 1, nil
 	case stream.KindBool:
 		if len(rest) < 1 {
-			return stream.Value{}, 0, ErrShort
+			return 0, 0, 0, ErrShort
 		}
 		if rest[0] > 1 {
-			return stream.Value{}, 0, fmt.Errorf("%w: bool byte %#02x", ErrNonCanonical, rest[0])
+			return 0, 0, 0, fmt.Errorf("%w: bool byte %#02x", ErrNonCanonical, rest[0])
 		}
-		return stream.Bool(rest[0] == 1), 2, nil
-	case stream.KindInt:
+		return kind, 1, 2, nil
+	case stream.KindInt, stream.KindFloat, stream.KindTime:
 		if len(rest) < 8 {
-			return stream.Value{}, 0, ErrShort
+			return 0, 0, 0, ErrShort
 		}
-		return stream.Int(int64(binary.BigEndian.Uint64(rest))), 9, nil
-	case stream.KindFloat:
-		if len(rest) < 8 {
-			return stream.Value{}, 0, ErrShort
-		}
-		return stream.Float(math.Float64frombits(binary.BigEndian.Uint64(rest))), 9, nil
+		return kind, 1, 9, nil
 	case stream.KindString:
 		n, w, err := Uvarint(rest)
 		if err != nil {
-			return stream.Value{}, 0, err
+			return 0, 0, 0, err
 		}
 		if n > uint64(len(rest)-w) {
-			return stream.Value{}, 0, ErrShort
+			return 0, 0, 0, ErrShort
 		}
-		return stream.String(string(rest[w : w+int(n)])), 1 + w + int(n), nil
-	case stream.KindTime:
-		if len(rest) < 8 {
-			return stream.Value{}, 0, ErrShort
-		}
-		ns := int64(binary.BigEndian.Uint64(rest))
-		return stream.Time(time.Unix(0, ns).UTC()), 9, nil
+		return kind, 1 + w, 1 + w + int(n), nil
 	default:
-		return stream.Value{}, 0, fmt.Errorf("wire: unknown value kind %d", kind)
+		return 0, 0, 0, fmt.Errorf("wire: unknown value kind %d", kind)
 	}
+}
+
+// decodeValue decodes one value from b, returning it and the bytes
+// consumed. String values come from d's intern table (a nil d
+// allocates each one).
+func decodeValue(b []byte, d *Decoder) (stream.Value, int, error) {
+	kind, start, end, err := valueSpan(b)
+	if err != nil {
+		return stream.Value{}, 0, err
+	}
+	p := b[start:end]
+	switch kind {
+	case stream.KindBool:
+		return stream.Bool(p[0] == 1), end, nil
+	case stream.KindInt:
+		return stream.Int(int64(binary.BigEndian.Uint64(p))), end, nil
+	case stream.KindFloat:
+		return stream.Float(math.Float64frombits(binary.BigEndian.Uint64(p))), end, nil
+	case stream.KindString:
+		return stream.String(d.intern(p)), end, nil
+	case stream.KindTime:
+		return stream.Time(time.Unix(0, int64(binary.BigEndian.Uint64(p))).UTC()), end, nil
+	}
+	return stream.Null(), end, nil
 }
 
 // AppendTuple appends the canonical encoding of t.
@@ -134,37 +150,39 @@ func AppendTuple(dst []byte, t stream.Tuple) []byte {
 	return dst
 }
 
-// decodeTuple decodes one tuple from b, returning it and the bytes
-// consumed.
-func decodeTuple(b []byte) (stream.Tuple, int, error) {
+// tupleHead validates a tuple's timestamp and value count at the front
+// of b, returning the timestamp (UnixNano), the count and the bytes they
+// occupy.
+func tupleHead(b []byte) (ts int64, n uint64, off int, err error) {
 	if len(b) < 8 {
-		return stream.Tuple{}, 0, ErrShort
+		return 0, 0, 0, ErrShort
 	}
-	ts := time.Unix(0, int64(binary.BigEndian.Uint64(b))).UTC()
-	off := 8
-	n, w, err := Uvarint(b[off:])
+	n, w, err := Uvarint(b[8:])
 	if err != nil {
-		return stream.Tuple{}, 0, err
+		return 0, 0, 0, err
 	}
-	off += w
+	off = 8 + w
 	// Each value needs at least its kind byte, so n > len caps malformed
 	// counts before allocating.
 	if n > uint64(len(b)-off) {
-		return stream.Tuple{}, 0, ErrShort
+		return 0, 0, 0, ErrShort
 	}
-	if n == 0 {
-		return stream.Tuple{Ts: ts}, off, nil
-	}
-	vals := make([]stream.Value, 0, n)
+	return int64(binary.BigEndian.Uint64(b)), n, off, nil
+}
+
+// decodeValues decodes n values from the front of b, appending them to
+// vals; it returns the extended slice and the bytes consumed.
+func decodeValues(b []byte, n uint64, vals []stream.Value, d *Decoder) ([]stream.Value, int, error) {
+	off := 0
 	for i := uint64(0); i < n; i++ {
-		v, w, err := decodeValue(b[off:])
+		v, w, err := decodeValue(b[off:], d)
 		if err != nil {
-			return stream.Tuple{}, 0, err
+			return vals, 0, err
 		}
 		vals = append(vals, v)
 		off += w
 	}
-	return stream.Tuple{Ts: ts, Values: vals}, off, nil
+	return vals, off, nil
 }
 
 // AppendTuples appends a counted tuple list.
@@ -176,26 +194,71 @@ func AppendTuples(dst []byte, ts []stream.Tuple) []byte {
 	return dst
 }
 
-// DecodeTuples decodes a counted tuple list from the front of b,
-// returning the tuples and the bytes consumed.
-func DecodeTuples(b []byte) ([]stream.Tuple, int, error) {
+// tupleCount validates a counted tuple list's count at the front of b.
+func tupleCount(b []byte) (uint64, int, error) {
 	n, w, err := Uvarint(b)
+	if err != nil {
+		return 0, 0, err
+	}
+	// A tuple encodes to >= 9 bytes, bounding a hostile count.
+	if n > uint64(len(b))/9+1 {
+		return 0, 0, ErrShort
+	}
+	return n, w, nil
+}
+
+// DecodeTuples decodes a counted tuple list from the front of b,
+// returning the tuples and the bytes consumed. Everything it returns is
+// freshly allocated — one exact-size Values slice per tuple, so a
+// caller that keeps some tuples pins only theirs — and the caller's to
+// keep. A connection loop decodes with a Decoder instead.
+func DecodeTuples(b []byte) ([]stream.Tuple, int, error) {
+	n, off, err := tupleCount(b)
 	if err != nil {
 		return nil, 0, err
 	}
-	off := w
-	// A tuple encodes to >= 9 bytes, bounding a hostile count.
-	if n > uint64(len(b))/9+1 {
-		return nil, 0, ErrShort
-	}
 	out := make([]stream.Tuple, 0, n)
 	for i := uint64(0); i < n; i++ {
-		t, w, err := decodeTuple(b[off:])
+		ts, nv, w, err := tupleHead(b[off:])
 		if err != nil {
 			return nil, 0, err
 		}
-		out = append(out, t)
 		off += w
+		var vals []stream.Value
+		if nv > 0 {
+			if vals, w, err = decodeValues(b[off:], nv, make([]stream.Value, 0, nv), nil); err != nil {
+				return nil, 0, err
+			}
+			off += w
+		}
+		out = append(out, stream.Tuple{Ts: time.Unix(0, ts).UTC(), Values: vals})
 	}
 	return out, off, nil
+}
+
+// SkipTuples validates a counted tuple list at the front of b without
+// decoding it: it accepts exactly the bytes DecodeTuples accepts, with
+// the same errors, and returns the tuple count and the bytes consumed.
+// It allocates nothing — the journal scan uses it to check a record it
+// replays later.
+func SkipTuples(b []byte) (int, int, error) {
+	n, off, err := tupleCount(b)
+	if err != nil {
+		return 0, 0, err
+	}
+	for i := uint64(0); i < n; i++ {
+		_, nv, w, err := tupleHead(b[off:])
+		if err != nil {
+			return 0, 0, err
+		}
+		off += w
+		for j := uint64(0); j < nv; j++ {
+			_, _, end, err := valueSpan(b[off:])
+			if err != nil {
+				return 0, 0, err
+			}
+			off += end
+		}
+	}
+	return int(n), off, nil
 }

@@ -242,7 +242,7 @@ func TestDecodeTuplesHostileCounts(t *testing.T) {
 	}
 	// String length past the end of the buffer.
 	enc := AppendTuple(nil, stream.Tuple{Ts: time.Unix(0, 0), Values: []stream.Value{stream.String("abcdef")}})
-	if _, _, err := decodeTuple(enc[:len(enc)-3]); err == nil {
+	if _, _, err := DecodeTuples(append([]byte{1}, enc[:len(enc)-3]...)); err == nil {
 		t.Fatal("truncated string decoded")
 	}
 }
