@@ -4,17 +4,16 @@ GO ?= go
 # `make check` runs, longer via `make fuzz FUZZTIME=5m`.
 FUZZTIME ?= 10s
 
-.PHONY: check fmt vet build test race diff chaos serve-smoke wal-smoke netchaos-smoke obsserve-smoke bench-smoke fuzz-smoke fuzz bench bench-json
+.PHONY: check fmt vet build test race diff chaos wal-smoke netchaos-smoke obsserve-smoke bench-smoke fuzz-smoke fuzz bench
 
 ## check: everything CI needs — a gofmt gate, vet, build, full tests, a
 ## race-detector pass over every package that starts goroutines, the
 ## differential oracle suite, the chaos (fault-injection) harness, the
-## serving-layer smoke (loadgen vs the in-process oracle), the WAL
-## crash-recovery smoke, the network-chaos resilient-session smoke, the
-## observability smoke (tracing, ops surfaces, metrics-doc drift,
-## overhead gates), the serving benchmark's functional pass, and a short
-## fuzz round per target.
-check: fmt vet build test race diff chaos serve-smoke wal-smoke netchaos-smoke obsserve-smoke bench-smoke fuzz-smoke
+## WAL crash-recovery smoke, the network-chaos resilient-session smoke,
+## the observability smoke (tracing, ops surfaces, metrics-doc drift),
+## the serving benchmark's functional pass (served output = the
+## in-process oracle over live TCP), and a short fuzz round per target.
+check: fmt vet build test race diff chaos wal-smoke netchaos-smoke obsserve-smoke bench-smoke fuzz-smoke
 
 ## fmt: fail when any Go file is not gofmt-formatted (lists the files).
 fmt:
@@ -50,13 +49,6 @@ diff:
 chaos:
 	$(GO) test ./internal/exp -run 'TestChaos' -count=1
 
-## serve-smoke: replay simulated motes through a self-hosted espd over
-## TCP and require byte-identical output to the in-process oracle run,
-## ending with a graceful drain (see cmd/esploadgen).
-serve-smoke:
-	$(GO) run ./cmd/esploadgen -motes 200 -epochs 10 -out /dev/null
-	$(GO) test ./internal/server -race -count=1
-
 ## wal-smoke: the torn-write/corruption battery (crash injection across
 ## the three example deployments) and the recovery-replay-commute
 ## differential, both under -race.
@@ -77,9 +69,9 @@ netchaos-smoke:
 ## obsserve-smoke: the observability battery under -race — the
 ## telemetry registry/tracer conformance tests, the end-to-end trace and
 ## ops-surface tests, the metrics-doc drift gate, and a scaled-down
-## serving-overhead run (allocation-free disabled path, fingerprint
-## identity across tracing modes, one trace ID end to end; see
-## internal/exp/obsserve.go).
+## served run per tracing mode (allocation-free disabled path,
+## fingerprint identity across tracing modes, one trace ID end to end;
+## see internal/exp/obsserve.go).
 obsserve-smoke:
 	$(GO) test ./internal/telemetry -race -count=1
 	$(GO) test ./internal/server -race -count=1 -run 'TestTrace|TestHealthz|TestStatusz|TestMetricsDocDrift|TestFamilyOf'
@@ -109,21 +101,7 @@ fuzz-smoke:
 fuzz:
 	$(MAKE) fuzz-smoke FUZZTIME=$(if $(filter 10s,$(FUZZTIME)),2m,$(FUZZTIME))
 
-## bench: the full benchmark suite (one testing.B per experiment).
+## bench: every testing.B microbenchmark in the module (the serving
+## benchmark is `go run ./bench`, see bench/README.md).
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-## bench-json: regenerate the committed perf snapshots at the repo root —
-## BENCH_baseline.json (telemetry-off wall-time profile), BENCH_obs.json
-## (telemetry overhead matrix), BENCH_batch.json (columnar-vs-tuple
-## execution comparison), BENCH_wal.json (journalling overhead +
-## crash-recovery time), BENCH_netchaos.json (resilient sessions under
-## link faults) and BENCH_obsserve.json (serving observability overhead;
-## see EXPERIMENTS.md).
-bench-json:
-	$(GO) run ./cmd/espbench -exp baseline
-	$(GO) run ./cmd/espbench -exp obs
-	$(GO) run ./cmd/espbench -exp batch
-	$(GO) run ./cmd/espbench -exp wal
-	$(GO) run ./cmd/espbench -exp netchaos
-	$(GO) run ./cmd/espbench -exp obsserve

@@ -8,13 +8,10 @@
 //	espbench -exp yield    §5.2 redwood epoch yield / accuracy ladder
 //	espbench -exp spatial  §5.3.2 spatial-granule sweep
 //	espbench -exp fig9     §6  digital-home person detector
+//	espbench -exp actuation §5.3.1 receptor actuation (extension)
+//	espbench -exp model    §6.3.1 model-based outlier cleaning (extension)
+//	espbench -exp robust   Merge-stage estimator ablation (extension)
 //	espbench -exp chaos    fault-injection harness (supervised runtime)
-//	espbench -exp baseline telemetry-off wall-time profile (BENCH_baseline.json)
-//	espbench -exp obs      runtime-telemetry overhead matrix (BENCH_obs.json)
-//	espbench -exp batch    columnar-vs-tuple execution comparison (BENCH_batch.json)
-//	espbench -exp wal      WAL append overhead + crash-recovery time (BENCH_wal.json)
-//	espbench -exp netchaos resilient sessions under link faults (BENCH_netchaos.json)
-//	espbench -exp obsserve serving observability overhead: tracing off/sampled/full (BENCH_obsserve.json)
 //	espbench -exp all      everything above
 //
 // Add -trace to emit the per-epoch series behind the figure (CSV on
@@ -30,7 +27,7 @@ import (
 )
 
 func main() {
-	expName := flag.String("exp", "all", "experiment id: fig3, fig5, fig6, fig7, yield, spatial, fig9, actuation, model, robust, chaos, baseline, obs, batch, wal, netchaos, obsserve, all")
+	expName := flag.String("exp", "all", "experiment id: fig3, fig5, fig6, fig7, yield, spatial, fig9, actuation, model, robust, chaos, all")
 	trace := flag.Bool("trace", false, "emit per-epoch trace CSV after the summary")
 	seed := flag.Int64("seed", 0, "override the simulation seed (0 = calibrated defaults)")
 	flag.Parse()
@@ -48,14 +45,8 @@ func main() {
 		"model":     runModel,
 		"robust":    runRobust,
 		"chaos":     runChaos,
-		"baseline":  runBaseline,
-		"obs":       runObs,
-		"batch":     runBatch,
-		"wal":       runWAL,
-		"netchaos":  runNetChaos,
-		"obsserve":  runObsServe,
 	}
-	order := []string{"fig3", "fig5", "fig6", "fig7", "yield", "spatial", "fig9", "actuation", "model", "robust", "chaos", "baseline", "obs", "batch", "wal", "netchaos", "obsserve"}
+	order := []string{"fig3", "fig5", "fig6", "fig7", "yield", "spatial", "fig9", "actuation", "model", "robust", "chaos"}
 
 	if *expName == "all" {
 		for _, name := range order {

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// TestStatsConcurrentWithRun polls EnableStats snapshots and NodeStats
+// TestStatsConcurrentWithRun polls telemetry snapshots and NodeStats
 // from a second goroutine while a run is in flight — the served shape,
 // where a metrics scrape reads the counters while the tenant steps. The
 // counters are atomics for this; run with -race, as the Makefile check
@@ -17,7 +17,7 @@ func TestStatsConcurrentWithRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := p.EnableStats()
+	p.EnableTelemetry()
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -36,7 +36,7 @@ func TestStatsConcurrentWithRun(t *testing.T) {
 					return
 				}
 			}
-			for _, n := range snap() {
+			for _, n := range p.Telemetry().Snapshot().Counters {
 				if n < 0 {
 					t.Error("negative counter in concurrent stats snapshot")
 					return
@@ -54,8 +54,8 @@ func TestStatsConcurrentWithRun(t *testing.T) {
 
 	// The run is quiesced: the final snapshots must agree with a
 	// sequential reading of the pipeline's activity.
-	final := snap()
-	if final["rfid/Smooth"] == 0 {
+	final := p.Telemetry().Snapshot().Counters
+	if final["stage.rfid/Smooth.tuples"] == 0 {
 		t.Fatalf("final stats snapshot saw no Smooth output: %v", final)
 	}
 	var advanced bool

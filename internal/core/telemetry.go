@@ -15,8 +15,8 @@ import (
 // histogram live in one per-processor registry, the supervised poll path
 // and receptor channels report into it, and the sampled tuple-lineage
 // recorder derives per-stage spans from the registry's epoch deltas.
-// NodeStats, EnableStats, and HealthStats are all views over this one
-// counter source (DESIGN.md §7).
+// NodeStats and HealthStats are views over this one counter source
+// (DESIGN.md §7).
 
 // Telemetry returns the processor's metric registry — always non-nil;
 // extended accounting (stage totals, poll latency, lineage) activates
@@ -57,8 +57,8 @@ type stageCounters struct {
 
 // initTelemetry registers the processor's metrics after the graph is
 // compiled: per-node counters and latency histograms (the NodeStats
-// backing store), per-type stage counters (the EnableStats backing
-// store), channel-receptor buffer gauges, and window occupancy gauges.
+// backing store), per-type stage counters, channel-receptor buffer
+// gauges, and window occupancy gauges.
 func (p *Processor) initTelemetry() {
 	g := p.graph
 	for i, n := range g.nodes {
@@ -100,7 +100,8 @@ func (p *Processor) initTelemetry() {
 			})
 		}
 	}
-	// Per-type stage accounting (EnableStats / lineage backing store).
+	// Per-type stage accounting (stage.<type>/<Stage>.tuples; the
+	// lineage backing store).
 	p.typeStage = make(map[receptor.Type]*stageCounters, len(p.typeOrder))
 	for _, t := range p.typeOrder {
 		sc := &stageCounters{polled: p.tel.Counter(fmt.Sprintf("poll.%s.tuples", t))}

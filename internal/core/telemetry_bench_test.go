@@ -33,9 +33,8 @@ func (g *genReceptor) Poll(now time.Time) []stream.Tuple {
 }
 
 // benchmarkStep measures one epoch of the RFID pipeline at 32 readings
-// per poll under the given telemetry mode. The off/on pair quantifies
-// the instrumentation overhead (see also espbench -exp obs, which
-// measures it end-to-end on the paper deployments).
+// per poll under the given telemetry mode. The off/on/lineage trio
+// quantifies the instrumentation overhead.
 func benchmarkStep(b *testing.B, mode string) {
 	rec := &genReceptor{id: "r0", per: 32}
 	p, err := NewProcessor(&Deployment{

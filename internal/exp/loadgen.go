@@ -12,7 +12,8 @@ import (
 )
 
 // LoadgenOptions shapes the simulated sensor-network deployment shared
-// by esploadgen and the netchaos harness: motes partitioned into
+// by the netchaos and obsserve harnesses and the serving benchmark's
+// motes-1k workload (bench/): motes partitioned into
 // spatial granules, lossy radios, and a seeded fraction of data-faulty
 // sensors. The same options always generate the same workload.
 type LoadgenOptions struct {

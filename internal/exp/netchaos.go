@@ -10,17 +10,15 @@ import (
 
 	"esp/internal/netchaos"
 	"esp/internal/server"
-	"esp/internal/telemetry"
 	"esp/internal/wire"
 )
 
-// NetChaosConfig parameterises the network-chaos experiment: the
-// loadgen workload driven through a fault-injecting TCP proxy by
-// resilient session clients, with a link fault at every epoch
-// boundary, plus a fault-free leg pair measuring the connection
-// deadlines' overhead.
+// NetChaosConfig parameterises the network-chaos harness: the loadgen
+// workload driven through a fault-injecting TCP proxy by resilient
+// session clients, with a link fault at every epoch boundary, against
+// a fault-free reference leg.
 type NetChaosConfig struct {
-	// Load shapes the workload (DefaultLoadgenOptions = 1000 motes).
+	// Load shapes the workload.
 	Load LoadgenOptions
 	// Publishers is the resilient publisher connection count.
 	Publishers int
@@ -30,8 +28,8 @@ type NetChaosConfig struct {
 	// subscriber-wait bounds; short values make stalled links fail fast.
 	CallTimeout time.Duration
 	ReadTimeout time.Duration
-	// IdleTimeout / WriteTimeout configure the chaos-leg server's
-	// connection deadlines.
+	// IdleTimeout / WriteTimeout configure both legs' server connection
+	// deadlines.
 	IdleTimeout  time.Duration
 	WriteTimeout time.Duration
 	// StallFor / PartitionFor is how long stall and partition faults
@@ -40,9 +38,8 @@ type NetChaosConfig struct {
 	PartitionFor time.Duration
 }
 
-// DefaultNetChaosConfig sizes the experiment for `espbench -exp
-// netchaos`: the canonical 1000-mote workload with a fault at every
-// one of its 30 epoch boundaries.
+// DefaultNetChaosConfig is the canonical 1000-mote workload with a
+// fault at every one of its 30 epoch boundaries.
 func DefaultNetChaosConfig() NetChaosConfig {
 	return NetChaosConfig{
 		Load:         DefaultLoadgenOptions(),
@@ -57,133 +54,108 @@ func DefaultNetChaosConfig() NetChaosConfig {
 	}
 }
 
-// NetChaosResult is the BENCH_netchaos.json document. The acceptance
-// gates: FingerprintMatch (the chaos run's output is byte-identical to
-// the fault-free run's — no committed epoch lost, nothing delivered
-// twice), ExactlyOnce (applied tuple count equals published tuple
-// count — no publish double-applied despite replays), and the fault
-// counters proving the faults actually happened.
+// NetChaosResult is what the chaos leg observed. RunNetChaos returns it
+// only when every gate held: the chaos output's fingerprint equals the
+// reference leg's (no committed epoch lost, nothing delivered twice),
+// every published tuple was applied exactly once, and the fault
+// counters prove the faults happened.
 type NetChaosResult struct {
-	Experiment string `json:"experiment"`
-	Motes      int    `json:"motes"`
-	Epochs     int    `json:"epochs"`
-	Publishers int    `json:"publishers"`
-	Seed       int64  `json:"seed"`
+	// Faults counts the injected faults by kind.
+	Faults map[string]int
+	// LinksKilled is how many proxied links a fault tore down;
+	// Reconnects sums the clients' reconnects.
+	LinksKilled int64
+	Reconnects  int64
+	// Server-side session accounting (the tenant's serve_* counters).
+	ServerReconn int64
+	Resumes      int64
+	DedupDrops   int64
+	IdleKills    int64
 
-	// Fault injection accounting.
-	Faults       map[string]int `json:"faults"`
-	LinksOpened  int64          `json:"links_opened"`
-	LinksKilled  int64          `json:"links_killed"`
-	Reconnects   int64          `json:"client_reconnects"`
-	ServerReconn int64          `json:"serve_reconnects"`
-	Resumes      int64          `json:"serve_resumes"`
-	DedupDrops   int64          `json:"serve_dedup_drops"`
-	IdleKills    int64          `json:"conn_idle_kills"`
-
-	// Exactly-once verdicts.
-	TuplesPublished  int    `json:"tuples_published"`
-	TuplesApplied    int64  `json:"tuples_applied"`
-	ExactlyOnce      bool   `json:"exactly_once"`
-	EpochsCommitted  int64  `json:"epochs_committed"`
-	FingerprintClean string `json:"fingerprint_clean"`
-	FingerprintChaos string `json:"fingerprint_chaos"`
-	FingerprintMatch bool   `json:"fingerprint_match"`
-
-	// Recovery latency: the duration of the first publish call to ack
-	// through each injected fault — reconnect, backoff, session resume,
-	// and replay included.
-	ResumeLatency telemetry.HistogramSnapshot `json:"resume_latency"`
-
-	// Deadline overhead: the fault-free workload with deadlines off vs
-	// on (direct TCP, no proxy). Comparable to BENCH_serve.json.
-	WallNsNoDeadlines   int64   `json:"wall_ns_no_deadlines"`
-	WallNsDeadlines     int64   `json:"wall_ns_deadlines"`
-	DeadlineOverheadPct float64 `json:"deadline_overhead_pct"`
-	WallNsChaos         int64   `json:"wall_ns_chaos"`
+	TuplesPublished  int
+	TuplesApplied    int64
+	EpochsCommitted  int64
+	FingerprintClean uint64
+	FingerprintChaos uint64
 }
 
-// RunNetChaos runs the three legs — fault-free without deadlines,
-// fault-free with deadlines (also the reference fingerprint), and the
-// chaos leg through the proxy — plus the deterministic dedup and
-// idle-kill probes. It fails hard on any acceptance-gate violation, so
-// `espbench -exp netchaos` doubles as a resilience test.
+// RunNetChaos runs the fault-free reference leg and the chaos leg
+// through the proxy, plus the deterministic dedup and idle-kill
+// probes, and fails hard on any gate violation.
 func RunNetChaos(cfg NetChaosConfig) (*NetChaosResult, error) {
 	spec := LoadgenSpec(cfg.Load)
 	steps, published := LoadgenWorkload(cfg.Load)
 
-	wallOff, fpOff, err := runDirectLeg(cfg, spec, steps, false)
+	ref, err := runDirectLeg(cfg, spec, steps)
 	if err != nil {
-		return nil, fmt.Errorf("netchaos: no-deadline leg: %w", err)
+		return nil, fmt.Errorf("netchaos: reference leg: %w", err)
 	}
-	wallOn, fpOn, err := runDirectLeg(cfg, spec, steps, true)
-	if err != nil {
-		return nil, fmt.Errorf("netchaos: deadline leg: %w", err)
-	}
-	if fpOn.Sum() != fpOff.Sum() {
-		return nil, fmt.Errorf("netchaos: deadline leg output %016x diverged from no-deadline leg %016x",
-			fpOn.Sum(), fpOff.Sum())
-	}
-
 	res, err := runChaosLeg(cfg, spec, steps, published)
 	if err != nil {
 		return res, err
 	}
-
 	idleKills, err := probeIdleKill()
 	if err != nil {
 		return res, err
 	}
 	res.IdleKills += idleKills
-
-	res.Experiment = "netchaos"
-	res.Motes = cfg.Load.Motes
-	res.Epochs = cfg.Load.Epochs
-	res.Publishers = cfg.Publishers
-	res.Seed = cfg.Seed
-	res.WallNsNoDeadlines = wallOff
-	res.WallNsDeadlines = wallOn
-	res.DeadlineOverheadPct = 100 * (float64(wallOn)/float64(wallOff) - 1)
-	res.FingerprintClean = fmt.Sprintf("%016x", fpOn.Sum())
-	res.FingerprintMatch = res.FingerprintChaos == res.FingerprintClean
-	if !res.FingerprintMatch {
-		return res, fmt.Errorf("netchaos: chaos output %s diverged from fault-free %s",
+	res.FingerprintClean = ref.Sum()
+	if res.FingerprintChaos != res.FingerprintClean {
+		return res, fmt.Errorf("netchaos: chaos output %016x diverged from fault-free %016x",
 			res.FingerprintChaos, res.FingerprintClean)
 	}
 	return res, nil
 }
 
-// runDirectLeg drives the workload straight at a server (no proxy, no
-// faults) with plain clients, timing the run.
-func runDirectLeg(cfg NetChaosConfig, spec []byte, steps []Step, deadlines bool) (wallNs int64, fp *server.Fingerprint, err error) {
-	scfg := server.Config{Addr: "127.0.0.1:0"}
-	if deadlines {
-		scfg.IdleTimeout = cfg.IdleTimeout
-		scfg.WriteTimeout = cfg.WriteTimeout
-	}
-	s, err := server.Listen(scfg)
+// listenServer starts the server both legs drive: journalling to a
+// fresh WAL directory, with the configured connection deadlines. stop
+// shuts it down and removes the directory.
+func listenServer(cfg NetChaosConfig) (s *server.Server, stop func(), err error) {
+	walDir, err := os.MkdirTemp("", "netchaos-wal-*")
 	if err != nil {
-		return 0, nil, err
+		return nil, nil, err
+	}
+	s, err = server.Listen(server.Config{
+		Addr:         "127.0.0.1:0",
+		WALDir:       walDir,
+		IdleTimeout:  cfg.IdleTimeout,
+		WriteTimeout: cfg.WriteTimeout,
+	})
+	if err != nil {
+		os.RemoveAll(walDir)
+		return nil, nil, err
 	}
 	go s.Serve() //nolint:errcheck
-	defer shutdown(s)
+	return s, func() { shutdown(s); os.RemoveAll(walDir) }, nil
+}
+
+// runDirectLeg drives the workload straight at the chaos leg's server
+// configuration (no proxy, no faults) with plain clients: the reference
+// fingerprint.
+func runDirectLeg(cfg NetChaosConfig, spec []byte, steps []Step) (*server.Fingerprint, error) {
+	s, stop, err := listenServer(cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer stop()
 
 	ctl, err := server.Dial(s.Addr())
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	defer ctl.Close()
 	if err := ctl.Create("netchaos", spec); err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	subc, err := server.Dial(s.Addr())
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	defer subc.Close()
 	if err := subc.Subscribe("netchaos", "mote"); err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	fp = server.NewFingerprint()
+	fp := server.NewFingerprint()
 	subErr := collect(fp, steps, func() (wire.Data, bool, error) {
 		d, _, done, err := subc.Next()
 		return d, done, err
@@ -193,16 +165,15 @@ func runDirectLeg(cfg NetChaosConfig, spec []byte, steps []Step, deadlines bool)
 	for i := range pubs {
 		c, err := server.Dial(s.Addr())
 		if err != nil {
-			return 0, nil, err
+			return nil, err
 		}
 		defer c.Close()
 		if err := c.Hello("netchaos", "pub"); err != nil {
-			return 0, nil, err
+			return nil, err
 		}
 		pubs[i] = c
 	}
 
-	start := time.Now()
 	err = drive(steps, cfg.Publishers,
 		func(now time.Time) error { return ctl.Advance(now) },
 		func(w int, rec string, st Step) error {
@@ -210,13 +181,12 @@ func runDirectLeg(cfg NetChaosConfig, spec []byte, steps []Step, deadlines bool)
 			return err
 		}, nil)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	wallNs = time.Since(start).Nanoseconds()
 	if err := <-subErr; err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	return wallNs, fp, nil
+	return fp, nil
 }
 
 // collect consumes a subscription until the workload's final epoch is
@@ -295,23 +265,11 @@ func drive(steps []Step, workers int, advance func(time.Time) error,
 // resilient clients, injecting one link fault at every epoch boundary,
 // and verifies exactly-once delivery end to end.
 func runChaosLeg(cfg NetChaosConfig, spec []byte, steps []Step, published int) (*NetChaosResult, error) {
-	walDir, err := os.MkdirTemp("", "netchaos-wal-*")
+	s, stop, err := listenServer(cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer os.RemoveAll(walDir)
-
-	s, err := server.Listen(server.Config{
-		Addr:         "127.0.0.1:0",
-		WALDir:       walDir,
-		IdleTimeout:  cfg.IdleTimeout,
-		WriteTimeout: cfg.WriteTimeout,
-	})
-	if err != nil {
-		return nil, err
-	}
-	go s.Serve() //nolint:errcheck
-	defer shutdown(s)
+	defer stop()
 
 	proxy, err := netchaos.Listen(s.Addr())
 	if err != nil {
@@ -377,15 +335,9 @@ func runChaosLeg(cfg NetChaosConfig, spec []byte, steps []Step, published int) (
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	kinds := []string{"kill", "truncate", "stall", "partition", "latency"}
 	faults := make(map[string]int)
-	resumeLat := telemetry.NewRegistry().Histogram("resume_ns")
-	var faultMu sync.Mutex
-	faultPending := false
 	inject := func(i int) {
 		kind := kinds[rng.Intn(len(kinds))]
 		faults[kind]++
-		faultMu.Lock()
-		faultPending = true
-		faultMu.Unlock()
 		proxy.SetLatency(0) // a latency fault lasts until the next boundary
 		switch kind {
 		case "kill":
@@ -407,28 +359,15 @@ func runChaosLeg(cfg NetChaosConfig, spec []byte, steps []Step, published int) (
 		}
 	}
 
-	start := time.Now()
 	err = drive(steps, cfg.Publishers,
 		func(now time.Time) error { return clk.Advance(now) },
 		func(w int, rec string, st Step) error {
-			t0 := time.Now()
-			if _, err := pubs[w].Publish(rec, st.Pubs[rec]); err != nil {
-				return err
-			}
-			faultMu.Lock()
-			if faultPending {
-				// First acked publish after a fault: its duration is the
-				// recovery latency through reconnect + resume + replay.
-				resumeLat.Observe(time.Since(t0))
-				faultPending = false
-			}
-			faultMu.Unlock()
-			return nil
+			_, err := pubs[w].Publish(rec, st.Pubs[rec])
+			return err
 		}, inject)
 	if err != nil {
 		return nil, fmt.Errorf("netchaos: chaos leg: %w", err)
 	}
-	wallChaos := time.Since(start).Nanoseconds()
 
 	// Lift whatever fault the last boundary injected (both calls are
 	// idempotent), then wait for the subscriber to finish resuming.
@@ -454,11 +393,9 @@ func runChaosLeg(cfg NetChaosConfig, spec []byte, steps []Step, published int) (
 		clientReconnects += p.Reconnects()
 	}
 
-	pstats := proxy.Stats()
 	res := &NetChaosResult{
 		Faults:           faults,
-		LinksOpened:      pstats.Accepted,
-		LinksKilled:      pstats.Killed,
+		LinksKilled:      proxy.Stats().Killed,
 		Reconnects:       clientReconnects,
 		ServerReconn:     st.Reconnects,
 		Resumes:          st.Resumes,
@@ -466,15 +403,12 @@ func runChaosLeg(cfg NetChaosConfig, spec []byte, steps []Step, published int) (
 		IdleKills:        st.IdleKills,
 		TuplesPublished:  published,
 		TuplesApplied:    st.TuplesIn,
-		ExactlyOnce:      st.TuplesIn == int64(published),
 		EpochsCommitted:  st.Epochs,
-		FingerprintChaos: fmt.Sprintf("%016x", fp.Sum()),
-		ResumeLatency:    resumeLat.Snapshot(),
-		WallNsChaos:      wallChaos,
+		FingerprintChaos: fp.Sum(),
 	}
 
 	// Acceptance gates beyond the fingerprint (checked by the caller).
-	if !res.ExactlyOnce {
+	if st.TuplesIn != int64(published) {
 		return res, fmt.Errorf("netchaos: %d tuples applied, %d published — a replay was double-applied or a publish lost",
 			st.TuplesIn, published)
 	}

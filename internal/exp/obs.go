@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"esp/internal/core"
@@ -11,94 +10,44 @@ import (
 	"esp/internal/stream"
 )
 
-// ObsConfig parameterises the telemetry-overhead experiment: the three
-// paper deployments (shelf RFID, redwood lab motes, digital home) are
-// each run with telemetry off, with counters + histograms enabled, and
-// with counters + sampled lineage — same workload, wall time only.
+// ObsConfig parameterises RunObsBaseline: the three paper deployments
+// (shelf RFID, redwood lab motes, digital home) run with telemetry off,
+// wall time only.
 type ObsConfig struct {
-	// Repeats is how many times each (deployment, mode) cell is run;
-	// the minimum wall time is kept (least-noise estimator).
+	// Repeats is how many times each deployment is run; the minimum
+	// wall time is kept (least-noise estimator).
 	Repeats int
-	// LineageSampleN samples ~1/N readings when lineage is enabled.
-	LineageSampleN int
 	// Seed overrides the scenario seeds when non-zero.
 	Seed int64
 }
 
-// DefaultObsConfig keeps the experiment under a few seconds while
-// staying above timer resolution on every deployment.
-func DefaultObsConfig() ObsConfig {
-	return ObsConfig{Repeats: 3, LineageSampleN: 64}
-}
-
-// ObsModeResult is one (deployment, telemetry mode) measurement.
-type ObsModeResult struct {
-	Mode string `json:"mode"` // "off", "counters", "lineage"
-	// WallNs is the minimum wall time over Repeats runs.
-	WallNs int64 `json:"wall_ns"`
-	// NsPerEpoch is WallNs / Epochs.
-	NsPerEpoch int64 `json:"ns_per_epoch"`
-	// Overhead is (Wall - WallOff) / WallOff; zero for the off mode.
-	Overhead float64 `json:"overhead"`
-	// TuplesIn sums node input counters after the run (0 when off) — a
-	// sanity check that the instrumentation actually observed traffic.
-	TuplesIn int64 `json:"tuples_in"`
-	// LineageTraces is the number of sampled traces (lineage mode only).
-	LineageTraces int `json:"lineage_traces,omitempty"`
-}
-
-// ObsDeploymentResult is the overhead profile of one deployment.
-type ObsDeploymentResult struct {
-	Name      string          `json:"name"`
-	Receptors int             `json:"receptors"`
-	Epochs    int             `json:"epochs"`
-	Modes     []ObsModeResult `json:"modes"`
-	// DisabledOverhead is the relative wall-time difference between two
-	// independent telemetry-off measurement sets — the measurable cost
-	// of the disabled instrumentation (its gate is one atomic load per
-	// epoch), which is indistinguishable from run-to-run noise.
-	DisabledOverhead float64 `json:"disabled_overhead"`
-}
-
-// ObsResult is the whole experiment, serialised into BENCH_obs.json.
-type ObsResult struct {
-	Experiment  string                `json:"experiment"`
-	Repeats     int                   `json:"repeats"`
-	SampleN     int                   `json:"lineage_sample_n"`
-	Deployments []ObsDeploymentResult `json:"deployments"`
-}
-
-// BaselinePoint is one deployment's telemetry-off wall time, serialised
-// into BENCH_baseline.json as the reference for future perf work.
+// BaselinePoint is one deployment's telemetry-off wall time.
 type BaselinePoint struct {
-	Name       string `json:"name"`
-	Receptors  int    `json:"receptors"`
-	Epochs     int    `json:"epochs"`
-	WallNs     int64  `json:"wall_ns"`
-	NsPerEpoch int64  `json:"ns_per_epoch"`
+	Name       string
+	Epochs     int
+	WallNs     int64
+	NsPerEpoch int64
 }
 
 // BaselineResult is the telemetry-off wall-time profile of the three
 // paper deployments.
 type BaselineResult struct {
-	Experiment  string          `json:"experiment"`
-	Repeats     int             `json:"repeats"`
-	Deployments []BaselinePoint `json:"deployments"`
+	Deployments []BaselinePoint
 }
 
-// RunObsBaseline measures only the telemetry-off configuration — the
-// reference profile committed as BENCH_baseline.json.
+// RunObsBaseline times the three paper deployments in process with
+// telemetry off — the pipeline's own cost on the shapes the paper
+// evaluated.
 func RunObsBaseline(cfg ObsConfig) (*BaselineResult, error) {
 	if cfg.Repeats <= 0 {
 		cfg.Repeats = 1
 	}
-	res := &BaselineResult{Experiment: "baseline", Repeats: cfg.Repeats}
+	res := &BaselineResult{}
 	for _, d := range obsDeployments(cfg.Seed) {
 		var best time.Duration
 		var epochs int
-		var receptors int
 		for r := 0; r < cfg.Repeats; r++ {
-			wall, ep, _, _, err := obsRun(d, "off", cfg)
+			wall, ep, err := obsRun(d)
 			if err != nil {
 				return nil, fmt.Errorf("exp: baseline %s: %w", d.name, err)
 			}
@@ -106,10 +55,7 @@ func RunObsBaseline(cfg ObsConfig) (*BaselineResult, error) {
 				best, epochs = wall, ep
 			}
 		}
-		if dep, err := d.build(); err == nil {
-			receptors = len(dep.Receptors)
-		}
-		pt := BaselinePoint{Name: d.name, Receptors: receptors, Epochs: epochs, WallNs: best.Nanoseconds()}
+		pt := BaselinePoint{Name: d.name, Epochs: epochs, WallNs: best.Nanoseconds()}
 		if epochs > 0 {
 			pt.NsPerEpoch = pt.WallNs / int64(epochs)
 		}
@@ -120,7 +66,7 @@ func RunObsBaseline(cfg ObsConfig) (*BaselineResult, error) {
 
 // obsDeployment describes one measurable workload: Build returns a
 // fresh deployment (fresh receptors, same seed) for every run so all
-// modes see byte-identical input.
+// repeats see byte-identical input.
 type obsDeployment struct {
 	name     string
 	build    func() (*core.Deployment, error)
@@ -237,23 +183,16 @@ func obsDeployments(seed int64) []obsDeployment {
 	}
 }
 
-// obsRun builds a fresh processor in the given telemetry mode, drives it
-// over the deployment's full duration, and reports wall time plus the
-// instrumentation's own view of the traffic.
-func obsRun(d obsDeployment, mode string, cfg ObsConfig) (wall time.Duration, epochs int, tuplesIn int64, traces int, err error) {
+// obsRun builds a fresh processor with telemetry off, drives it over
+// the deployment's full duration, and reports the wall time.
+func obsRun(d obsDeployment) (wall time.Duration, epochs int, err error) {
 	dep, err := d.build()
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return 0, 0, err
 	}
 	p, err := core.NewProcessor(dep)
 	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	switch mode {
-	case "counters":
-		p.EnableTelemetry()
-	case "lineage":
-		p.EnableLineage(cfg.LineageSampleN, 1)
+		return 0, 0, err
 	}
 	// Swallow output: the workload is the pipeline, not the sink.
 	for typ := range dep.Pipelines {
@@ -263,89 +202,7 @@ func obsRun(d obsDeployment, mode string, cfg ObsConfig) (wall time.Duration, ep
 	start := time.Unix(0, 0).UTC()
 	t0 := time.Now()
 	if err := p.Run(start, start.Add(d.duration)); err != nil {
-		return 0, 0, 0, 0, err
+		return 0, 0, err
 	}
-	wall = time.Since(t0)
-	epochs = int(d.duration / dep.Epoch)
-
-	if mode != "off" {
-		for name, c := range p.Telemetry().Snapshot().Counters {
-			if strings.HasPrefix(name, "node.") && strings.HasSuffix(name, ".tuples_in") {
-				tuplesIn += c
-			}
-		}
-	}
-	if lin := p.Lineage(); lin != nil {
-		traces = lin.Len()
-	}
-	return wall, epochs, tuplesIn, traces, nil
-}
-
-// RunObs measures the telemetry overhead matrix. Each cell is run
-// cfg.Repeats times and the minimum wall time kept; overheads are
-// relative to the telemetry-off minimum.
-func RunObs(cfg ObsConfig) (*ObsResult, error) {
-	if cfg.Repeats <= 0 {
-		cfg.Repeats = 1
-	}
-	if cfg.LineageSampleN <= 0 {
-		cfg.LineageSampleN = 64
-	}
-	res := &ObsResult{Experiment: "obs", Repeats: cfg.Repeats, SampleN: cfg.LineageSampleN}
-	for _, d := range obsDeployments(cfg.Seed) {
-		dr := ObsDeploymentResult{Name: d.name}
-		dep, err := d.build()
-		if err != nil {
-			return nil, err
-		}
-		dr.Receptors = len(dep.Receptors)
-
-		minWall := func(mode string) (time.Duration, ObsModeResult, error) {
-			best := time.Duration(0)
-			var cell ObsModeResult
-			for r := 0; r < cfg.Repeats; r++ {
-				wall, epochs, in, traces, err := obsRun(d, mode, cfg)
-				if err != nil {
-					return 0, cell, fmt.Errorf("exp: obs %s/%s: %w", d.name, mode, err)
-				}
-				if best == 0 || wall < best {
-					best = wall
-					cell = ObsModeResult{Mode: mode, WallNs: wall.Nanoseconds(), TuplesIn: in, LineageTraces: traces}
-					dr.Epochs = epochs
-				}
-			}
-			return best, cell, nil
-		}
-
-		// Two independent off measurement sets: the first is the
-		// baseline, the second quantifies the disabled-gate cost (one
-		// atomic load per epoch) against run-to-run noise.
-		offWall, offCell, err := minWall("off")
-		if err != nil {
-			return nil, err
-		}
-		off2Wall, _, err := minWall("off")
-		if err != nil {
-			return nil, err
-		}
-		dr.DisabledOverhead = float64(off2Wall-offWall) / float64(offWall)
-
-		cells := []ObsModeResult{offCell}
-		for _, mode := range []string{"counters", "lineage"} {
-			wall, cell, err := minWall(mode)
-			if err != nil {
-				return nil, err
-			}
-			cell.Overhead = float64(wall-offWall) / float64(offWall)
-			cells = append(cells, cell)
-		}
-		for i := range cells {
-			if dr.Epochs > 0 {
-				cells[i].NsPerEpoch = cells[i].WallNs / int64(dr.Epochs)
-			}
-		}
-		dr.Modes = cells
-		res.Deployments = append(res.Deployments, dr)
-	}
-	return res, nil
+	return time.Since(t0), int(d.duration / dep.Epoch), nil
 }

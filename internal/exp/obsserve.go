@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"time"
 
@@ -11,90 +10,44 @@ import (
 	"esp/internal/wire"
 )
 
-// ObsServeConfig parameterises the serving-observability overhead
-// experiment: the loadgen workload driven over live TCP with the
-// tracing plane off, server-sampled, and fully on (client-originated
-// traces on every frame), measuring what observability costs the
-// serving path.
+// ObsServeConfig parameterises the serving-observability harness: the
+// loadgen workload driven over live TCP with the tracing plane off,
+// server-sampled, and fully on (client-originated traces on every
+// frame).
 type ObsServeConfig struct {
-	// Load shapes the workload (DefaultLoadgenOptions = 1000 motes).
+	// Load shapes the workload.
 	Load LoadgenOptions
 	// Publishers is the publisher connection count.
 	Publishers int
-	// Repeats runs each leg this many times, keeping the minimum wall
-	// time (least-noise estimator).
-	Repeats int
-	// SampleN is the sampled leg's 1-in-N epoch trace rate.
+	// SampleN is the sampled leg's 1-in-N epoch trace rate; it must stay
+	// below the workload's epoch count, because the server samples at
+	// advance time.
 	SampleN int
 	// Seed seeds trace-ID minting.
 	Seed int64
-	// SkipTimingGate disables the noise-spread hard gate (used by the
-	// smoke test, whose tiny workload is all noise).
-	SkipTimingGate bool
 }
 
-// DefaultObsServeConfig sizes the experiment for `espbench -exp
-// obsserve`.
-func DefaultObsServeConfig() ObsServeConfig {
-	// SampleN must stay below the workload's 30 epoch boundaries —
-	// the server samples at advance time, so 1/8 of 30 advances means
-	// ~3 traced epochs per run.
-	return ObsServeConfig{
-		Load:       DefaultLoadgenOptions(),
-		Publishers: 8,
-		Repeats:    3,
-		SampleN:    8,
-		Seed:       7,
-	}
-}
-
-// ObsServeLeg is one tracing mode's measurement.
+// ObsServeLeg is one tracing mode's outcome.
 type ObsServeLeg struct {
-	Mode          string  `json:"mode"` // off-a, off-b, sampled, full
-	TraceSampleN  int     `json:"trace_sample_n"`
-	ClientTracing bool    `json:"client_tracing"`
-	WallNs        int64   `json:"wall_ns"` // min over Repeats
-	NsPerEpoch    int64   `json:"ns_per_epoch"`
-	OverheadPct   float64 `json:"overhead_pct"` // vs the off-a leg
-	Spans         int     `json:"spans"`        // server-side spans recorded (last run)
-	Traces        int     `json:"traces"`       // distinct trace IDs (last run)
-	Fingerprint   string  `json:"fingerprint"`
+	Mode        string // off, sampled, full
+	Spans       int    // server-side spans recorded
+	Traces      int    // distinct trace IDs
+	Fingerprint string
 }
 
-// ObsServeResult is the BENCH_obsserve.json document. The acceptance
-// gates: DisabledAllocsPerFrame must be zero (the off path may not
-// allocate), the two off legs must agree within noise (the tracing
-// plane's disabled cost is unmeasurable), every leg's fingerprint must
-// match (tracing never changes output), and the full leg must carry
-// one trace ID from a client publish through the server's spans to a
+// ObsServeResult is what the three legs observed. RunObsServe returns
+// it only when every gate held: the tracing-disabled path does not
+// allocate, every leg's fingerprint matches (tracing never changes
+// output), the sampled leg recorded spans, and the full leg carried one
+// trace ID from a client publish through the server's spans to a
 // delivered Data frame.
 type ObsServeResult struct {
-	Experiment string `json:"experiment"`
-	Motes      int    `json:"motes"`
-	Epochs     int    `json:"epochs"`
-	Publishers int    `json:"publishers"`
-	Repeats    int    `json:"repeats"`
-	SampleN    int    `json:"sample_n"`
-	Seed       int64  `json:"seed"`
-
-	Legs []ObsServeLeg `json:"legs"`
-
+	Legs []ObsServeLeg
 	// DisabledAllocsPerFrame is the heap allocations per simulated
 	// frame on the tracing-disabled path (nil and disabled tracer
 	// Sample + zero-ID Record), measured before any leg runs.
-	DisabledAllocsPerFrame float64 `json:"disabled_allocs_per_frame"`
-	// DisabledSpreadPct is |off-b − off-a| / off-a — the run-to-run
-	// noise floor the tracing overhead is judged against.
-	DisabledSpreadPct float64 `json:"disabled_spread_pct"`
-
-	FingerprintMatch bool `json:"fingerprint_match"`
-	TraceIDEndToEnd  bool `json:"trace_id_end_to_end"`
+	DisabledAllocsPerFrame float64
 }
-
-// disabledNoiseTolerancePct is the hard gate on the off legs' spread:
-// two identical tracing-off runs differing by more than this means the
-// measurement (or the disabled path) is broken.
-const disabledNoiseTolerancePct = 3.0
 
 // obsServeLegSpec is one leg's tracing wiring.
 type obsServeLegSpec struct {
@@ -105,7 +58,6 @@ type obsServeLegSpec struct {
 
 // obsServeLegOut is one leg run's raw outcome.
 type obsServeLegOut struct {
-	wallNs       int64
 	fp           *server.Fingerprint
 	spans        int
 	traces       int
@@ -180,7 +132,6 @@ func runObsServeLeg(cfg ObsServeConfig, spec []byte, steps []Step, leg obsServeL
 		pubs[i] = c
 	}
 
-	start := time.Now()
 	err = drive(steps, cfg.Publishers,
 		func(now time.Time) error { return ctl.Advance(now) },
 		func(w int, rec string, st Step) error {
@@ -190,7 +141,6 @@ func runObsServeLeg(cfg ObsServeConfig, spec []byte, steps []Step, leg obsServeL
 	if err != nil {
 		return nil, err
 	}
-	out.wallNs = time.Since(start).Nanoseconds()
 	if err := <-subErr; err != nil {
 		return nil, err
 	}
@@ -233,113 +183,53 @@ func measureDisabledAllocs() float64 {
 	return float64(after.Mallocs-before.Mallocs) / frames
 }
 
-// RunObsServe runs the four legs — tracing off twice (the noise
-// floor), server-sampled, and fully traced — and hard-fails on any
-// acceptance-gate violation, so `espbench -exp obsserve` doubles as an
-// overhead regression test.
+// RunObsServe runs the three legs — tracing off, server-sampled, and
+// fully traced — once each, and hard-fails on any gate violation.
 func RunObsServe(cfg ObsServeConfig) (*ObsServeResult, error) {
-	if cfg.Repeats <= 0 {
-		cfg.Repeats = 1
-	}
-	spec := LoadgenSpec(cfg.Load)
-	steps, _ := LoadgenWorkload(cfg.Load)
-
-	res := &ObsServeResult{
-		Experiment: "obsserve",
-		Motes:      cfg.Load.Motes,
-		Epochs:     cfg.Load.Epochs,
-		Publishers: cfg.Publishers,
-		Repeats:    cfg.Repeats,
-		SampleN:    cfg.SampleN,
-		Seed:       cfg.Seed,
-	}
-
-	res.DisabledAllocsPerFrame = measureDisabledAllocs()
+	res := &ObsServeResult{DisabledAllocsPerFrame: measureDisabledAllocs()}
 	if res.DisabledAllocsPerFrame > 0.01 {
 		return nil, fmt.Errorf("obsserve: tracing-disabled path allocates (%.4f allocs/frame, want 0)",
 			res.DisabledAllocsPerFrame)
 	}
 
-	// One discarded warmup run: the first leg otherwise pays the
-	// process's cold-start costs (page faults, socket buffers, GC
-	// sizing) and the off-leg spread measures warmup, not tracing.
-	if !cfg.SkipTimingGate {
-		if _, err := runObsServeLeg(cfg, spec, steps, obsServeLegSpec{mode: "warmup"}); err != nil {
-			return nil, fmt.Errorf("obsserve: warmup: %w", err)
-		}
-	}
-
+	spec := LoadgenSpec(cfg.Load)
+	steps, _ := LoadgenWorkload(cfg.Load)
 	legs := []obsServeLegSpec{
-		{mode: "off-a"},
-		{mode: "off-b"},
+		{mode: "off"},
 		{mode: "sampled", serverSampleN: cfg.SampleN},
 		{mode: "full", serverSampleN: 1, clientSampleN: 1},
 	}
-	outs := make([]*obsServeLegOut, len(legs))
-	for i, leg := range legs {
-		// Keep the last run's spans/fingerprint (any run's would do —
-		// they are deterministic) and the minimum wall time over the
-		// repeats.
-		var best *obsServeLegOut
-		minWall := int64(math.MaxInt64)
-		for r := 0; r < cfg.Repeats; r++ {
-			out, err := runObsServeLeg(cfg, spec, steps, leg)
-			if err != nil {
-				return nil, fmt.Errorf("obsserve: %s leg: %w", leg.mode, err)
-			}
-			if out.wallNs < minWall {
-				minWall = out.wallNs
-			}
-			best = out
+	var full *obsServeLegOut
+	for _, leg := range legs {
+		out, err := runObsServeLeg(cfg, spec, steps, leg)
+		if err != nil {
+			return nil, fmt.Errorf("obsserve: %s leg: %w", leg.mode, err)
 		}
-		best.wallNs = minWall
-		outs[i] = best
-		clientTraced := leg.clientSampleN > 0
+		full = out // the last leg is the fully traced one
 		res.Legs = append(res.Legs, ObsServeLeg{
-			Mode:          leg.mode,
-			TraceSampleN:  leg.serverSampleN,
-			ClientTracing: clientTraced,
-			WallNs:        best.wallNs,
-			NsPerEpoch:    best.wallNs / int64(cfg.Load.Epochs),
-			Spans:         best.spans,
-			Traces:        best.traces,
-			Fingerprint:   best.fp.String(),
+			Mode:        leg.mode,
+			Spans:       out.spans,
+			Traces:      out.traces,
+			Fingerprint: out.fp.String(),
 		})
 	}
 
-	// Overheads vs off-a; the off legs' spread is the noise floor.
-	offA := float64(res.Legs[0].WallNs)
-	for i := range res.Legs {
-		res.Legs[i].OverheadPct = 100 * (float64(res.Legs[i].WallNs) - offA) / offA
-	}
-	res.DisabledSpreadPct = math.Abs(float64(res.Legs[1].WallNs)-offA) / offA * 100
-	if !cfg.SkipTimingGate && res.DisabledSpreadPct > disabledNoiseTolerancePct {
-		return nil, fmt.Errorf("obsserve: tracing-off legs differ by %.2f%% (tolerance %.1f%%): disabled path is not free or the host is too noisy",
-			res.DisabledSpreadPct, disabledNoiseTolerancePct)
-	}
-
 	// Output identity: tracing must never change what is delivered.
-	res.FingerprintMatch = true
 	for _, l := range res.Legs[1:] {
 		if l.Fingerprint != res.Legs[0].Fingerprint {
-			res.FingerprintMatch = false
+			return nil, fmt.Errorf("obsserve: fingerprints diverge across tracing modes: %+v", res.Legs)
 		}
-	}
-	if !res.FingerprintMatch {
-		return nil, fmt.Errorf("obsserve: fingerprints diverge across tracing modes: %+v", res.Legs)
 	}
 
 	// Sampled leg: the server must actually have traced something.
-	if res.Legs[2].Spans == 0 || res.Legs[2].Traces == 0 {
+	if res.Legs[1].Spans == 0 || res.Legs[1].Traces == 0 {
 		return nil, fmt.Errorf("obsserve: sampled leg recorded no spans")
 	}
 
 	// Full leg: one client-minted trace ID must be observable at every
 	// hop — client.publish span, server-side apply/step/deliver spans,
 	// and the delivered Data frame.
-	full := outs[3]
-	res.TraceIDEndToEnd = traceEndToEnd(full)
-	if !res.TraceIDEndToEnd {
+	if !traceEndToEnd(full) {
 		return nil, fmt.Errorf("obsserve: no trace ID observed end to end in the full leg")
 	}
 	return res, nil

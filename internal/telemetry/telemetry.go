@@ -20,7 +20,7 @@
 //     Processor.NodeStats).
 //   - The Enabled flag gates *extra* work (latency timing, lineage
 //     sampling, structured log events); basic counters stay live so the
-//     long-standing NodeStats / EnableStats / HealthStats snapshots keep
+//     long-standing NodeStats / HealthStats snapshots keep
 //     working without opt-in.
 package telemetry
 
